@@ -6,10 +6,10 @@ overlapping drift segments). Configuration files are flat ``key = value``
 text with dotted section prefixes; every monitoring knob is exposed under
 ``monitor.`` and report assembly under ``report.``.
 
-The replay loop owns the monitor state on the main thread. Alarm reports
-build in a small worker pool so a slow report never stalls ingestion; the
-pool is bounded, and results are drained in submission order so manifests
-come out identical run to run.
+The replay loop owns the monitor state and runs on one thread. Each alarm
+report is built and written synchronously at its trigger, before the next
+event is read, so reports come out in trigger order. There is no report
+pool: under the interpreter lock a thread pool made runs slower.
 """
 
 from __future__ import annotations
@@ -21,8 +21,6 @@ import heapq
 import json
 import math
 import sys
-from collections import deque
-from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, TextIO
@@ -52,12 +50,9 @@ class CliError(Exception):
 class RunnerConfig:
     """Knobs owned by the CLI layer rather than the monitor itself."""
 
-    workers: int = 2
     valley_count: int = 5
 
     def __post_init__(self):
-        if self.workers < 1:
-            raise ConfigError("report.workers must be at least 1")
         if self.valley_count < 0:
             raise ConfigError("monitor.valley_count must be non-negative")
 
@@ -124,7 +119,6 @@ _MONITOR_FIELDS = {
 }
 _RUNNER_FIELDS = {"valley_count": int}
 _REPORT_FIELDS = {
-    "workers": int,
     "cv_folds": int,
     "top_events": int,
     "top_importances": int,
@@ -152,10 +146,7 @@ def load_run_config(path: str) -> tuple[MonitorConfig, ReportConfig, RunnerConfi
             elif section == "monitor" and name in _RUNNER_FIELDS:
                 runner_kwargs[name] = _RUNNER_FIELDS[name](value)
             elif section == "report" and name in _REPORT_FIELDS:
-                if name == "workers":
-                    runner_kwargs[name] = int(value)
-                else:
-                    report_kwargs[name] = _REPORT_FIELDS[name](value)
+                report_kwargs[name] = _REPORT_FIELDS[name](value)
             else:
                 raise CliError(f"unknown config key {key!r}", EXIT_CONFIG)
         except ValueError as exc:
@@ -170,6 +161,10 @@ def load_run_config(path: str) -> tuple[MonitorConfig, ReportConfig, RunnerConfi
         runner_config = RunnerConfig(**runner_kwargs)
     except ConfigError as exc:
         raise CliError(str(exc), EXIT_CONFIG) from exc
+    if monitor_config.n_r < 2 or monitor_config.n_t < 2:
+        # Every alarm report cross-validates R against T, which needs at
+        # least two rows of each window.
+        raise CliError("monitor.n_r and monitor.n_t must be at least 2", EXIT_CONFIG)
 
     echo = {
         "monitor": {
@@ -185,7 +180,6 @@ def load_run_config(path: str) -> tuple[MonitorConfig, ReportConfig, RunnerConfi
             "valley_count": runner_config.valley_count,
         },
         "report": {
-            "workers": runner_config.workers,
             "cv_folds": report_config.cv_folds,
             "top_events": report_config.top_events,
             "top_importances": report_config.top_importances,
@@ -276,18 +270,6 @@ class ValleyCollector:
         return accepted
 
 
-def _build_and_write(trigger, schema, report_config, seed_list, out_dir) -> dict[str, str]:
-    report = build_report(trigger, schema, report_config, seed=seed_list)
-    stem = f"alarm_{trigger.alarm_index:04d}"
-    paths = write_report_files(report, out_dir, stem)
-    return {name: str(path) for name, path in paths.items()}
-
-
-def _drain_one(pending: deque, report_paths: dict[int, dict[str, str]]) -> None:
-    alarm_index, future = pending.popleft()
-    report_paths[alarm_index] = future.result()
-
-
 def cmd_monitor(args) -> int:
     schema = _load_schema(args.schema)
     monitor_config, report_config, runner_config, echo = load_run_config(args.config)
@@ -308,7 +290,6 @@ def cmd_monitor(args) -> int:
     landmark_values: list[float] | None = [] if args.debug_landmark else None
 
     shared_filter = None
-    pending: deque[tuple[int, Future]] = deque()
     report_paths: dict[int, dict[str, str]] = {}
     alarm_summaries: list[dict] = []
     events_seen = 0
@@ -320,8 +301,7 @@ def cmd_monitor(args) -> int:
         header += ",landmark"
 
     with open(input_path, "r", encoding="utf-8", newline="") as source, \
-            open(signal_path, "w", encoding="utf-8", newline="") as sink, \
-            ThreadPoolExecutor(max_workers=runner_config.workers) as pool:
+            open(signal_path, "w", encoding="utf-8", newline="") as sink:
         sink.write(header + "\n")
         try:
             for event in read_stream(source, schema, stream_format):
@@ -352,14 +332,16 @@ def cmd_monitor(args) -> int:
                             alpha=report_config.mic_alpha,
                             confidence=report_config.mic_confidence,
                         )
-                    trigger = trigger.with_filter(shared_filter)
-                    while len(pending) >= runner_config.workers * 2:
-                        _drain_one(pending, report_paths)
-                    future = pool.submit(
-                        _build_and_write, trigger, schema, report_config,
-                        [args.seed, trigger.alarm_index], out_dir,
+                    report = build_report(
+                        trigger.with_filter(shared_filter), schema, report_config,
+                        seed=[args.seed, trigger.alarm_index],
                     )
-                    pending.append((trigger.alarm_index, future))
+                    paths = write_report_files(
+                        report, out_dir, f"alarm_{trigger.alarm_index:04d}"
+                    )
+                    report_paths[trigger.alarm_index] = {
+                        name: str(path) for name, path in paths.items()
+                    }
                     alarm_summaries.append(
                         {
                             "alarm": trigger.alarm_index,
@@ -371,9 +353,6 @@ def cmd_monitor(args) -> int:
                     )
         except StreamError as exc:
             raise CliError(str(exc), EXIT_INPUT) from exc
-        finally:
-            while pending:
-                _drain_one(pending, report_paths)
 
     if events_seen == 0:
         raise CliError("empty stream: no events", EXIT_INPUT)
@@ -455,7 +434,9 @@ def build_parser() -> argparse.ArgumentParser:
     monitor.add_argument("--seed", type=int, default=0)
     monitor.add_argument(
         "--debug-landmark", action="store_true",
-        help="add an exact full-history percentile column to the signal CSV",
+        help="add an exact full-history percentile column to the signal CSV; "
+        "keeps every signal value in a sorted list, so it costs O(n^2) time "
+        "and O(n) memory over n events",
     )
     monitor.set_defaults(handler=cmd_monitor)
 

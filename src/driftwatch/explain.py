@@ -26,6 +26,7 @@ from .stream_model import (
     Event,
     FeatureSchema,
 )
+from .windows import ConfigError
 
 MIC_ESTIMATOR_NAME = "equi-frequency midrank grid search"
 DEFAULT_MIC_SAMPLE = 1000
@@ -386,6 +387,10 @@ class ReportConfig:
     mic_sample_size: int = DEFAULT_MIC_SAMPLE
     mic_alpha: float = DEFAULT_SHUFFLE_ALPHA
     mic_confidence: float = DEFAULT_SHUFFLE_CONFIDENCE
+
+    def __post_init__(self):
+        if self.cv_folds < 2:
+            raise ConfigError("cv_folds must be at least 2")
 
 
 def _seed_list(seed) -> list[int]:

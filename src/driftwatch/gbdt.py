@@ -3,7 +3,9 @@
 Binary logistic boosting with exact greedy least-squares splits on
 presorted features. The scale is fixed and small (50 trees, depth 5), so
 exact splits are affordable and keep the fit fully deterministic: no
-subsampling, stable sorts, and first-lowest tie-breaking everywhere.
+subsampling, stable sorts, and first-lowest tie-breaking everywhere. Each
+node scores every split of every feature at once on presorted column
+blocks, as in XGBoost (Chen & Guestrin, KDD 2016).
 """
 
 from __future__ import annotations
@@ -26,27 +28,21 @@ class TrainingError(Exception):
 
 @dataclass
 class TrainingMatrix:
-    """Dense feature matrix with binary labels and per-row weights."""
+    """Dense feature matrix with binary labels."""
 
     x: np.ndarray
     y: np.ndarray
     column_names: list[str]
-    weights: np.ndarray = None
 
     def __post_init__(self):
         self.x = np.asarray(self.x, dtype=np.float64)
         self.y = np.asarray(self.y, dtype=np.int64)
-        if self.weights is None:
-            self.weights = np.ones(len(self.y), dtype=np.float64)
-        self.weights = np.asarray(self.weights, dtype=np.float64)
         if self.x.ndim != 2:
             raise TrainingError("x must be 2-dimensional")
-        if self.x.shape[0] != len(self.y) or len(self.weights) != len(self.y):
+        if self.x.shape[0] != len(self.y):
             raise TrainingError("row counts disagree")
         if self.x.shape[1] != len(self.column_names):
             raise TrainingError("column names disagree with x arity")
-        if np.any(self.weights < 0):
-            raise TrainingError("weights must be non-negative")
 
     @property
     def n_rows(self) -> int:
@@ -98,45 +94,45 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-z))
 
 
-def _log_loss(y: np.ndarray, prob: np.ndarray, weights: np.ndarray) -> float:
+def _log_loss(y: np.ndarray, prob: np.ndarray) -> float:
     p = np.clip(prob, PROBABILITY_CLIP, 1.0 - PROBABILITY_CLIP)
     terms = y * np.log(p) + (1 - y) * np.log1p(-p)
-    return float(-(weights * terms).sum() / weights.sum())
+    return float(-terms.sum() / len(y))
 
 
-def _find_split(values, grad, weight, min_leaf):
-    """Best split of one presorted column; returns (gain, position) or None.
+def _best_split(values, grad, min_leaf):
+    """Best split of a node over all features: (gain, feature, position) or None.
 
-    ``position`` is the last index of the left part. Gain is the weighted
-    least-squares impurity reduction S_l^2/W_l + S_r^2/W_r - S^2/W.
+    ``values`` and ``grad`` are (n_features, node_size) blocks, each row in
+    its feature's sorted order, and ``position`` is the last left index in
+    it. Gain is S_l^2/n_l + S_r^2/n_r - S^2/n; ties go to the first position,
+    then to the lowest feature.
     """
-    n = len(values)
-    if n < 2 * min_leaf:
+    size = values.shape[1]
+    smallest = max(min_leaf, 1)
+    lo, hi = smallest - 1, size - smallest
+    if lo >= hi:
         return None
-    grad_left = np.cumsum(grad)[:-1]
-    weight_left = np.cumsum(weight)[:-1]
-    grad_total = float(grad.sum())
-    weight_total = float(weight.sum())
+    # Row-wise sums of C-contiguous rows are bit-identical to 1-D sums of
+    # each row, and the in-place steps round as the plain gain expression.
+    grad_total = grad.sum(axis=1)[:, None]
+    grad_left = np.cumsum(grad, axis=1)[:, lo:hi]
     grad_right = grad_total - grad_left
-    weight_right = weight_total - weight_left
-
-    valid = values[:-1] < values[1:]
-    counts_left = np.arange(1, n)
-    valid &= counts_left >= min_leaf
-    valid &= (n - counts_left) >= min_leaf
-    valid &= (weight_left > 0) & (weight_right > 0)
-    if not valid.any():
+    count_left = np.arange(lo + 1, hi + 1, dtype=np.float64)
+    gains = grad_left * grad_left
+    gains /= count_left
+    grad_right *= grad_right
+    grad_right /= size - count_left
+    gains += grad_right
+    gains -= grad_total * grad_total / size
+    valid = values[:, lo:hi] < values[:, lo + 1:hi + 1]
+    np.copyto(gains, -np.inf, where=~valid)
+    at = np.argmax(gains, axis=1)
+    best = gains[np.arange(len(at)), at]
+    feature = int(np.argmax(best))
+    if not best[feature] > GAIN_EPSILON:
         return None
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        gains = (
-            grad_left * grad_left / weight_left
-            + grad_right * grad_right / weight_right
-            - grad_total * grad_total / weight_total
-        )
-    gains = np.where(valid, gains, -np.inf)
-    at = int(np.argmax(gains))
-    return float(gains[at]), at
+    return float(best[feature]), feature, lo + int(at[feature])
 
 
 def _leaf_value(grad_sum: float, hess_sum: float) -> float:
@@ -145,58 +141,60 @@ def _leaf_value(grad_sum: float, hess_sum: float) -> float:
     return grad_sum / hess_sum
 
 
-def _build_tree(x, residual, hessian, weights, sorted_columns, params, importance, split_gains):
-    """Grow one regression tree on the residuals, depth-first."""
-    grad = residual * weights
-    hess = hessian * weights
+def _take_rows(blocks, mask, width):
+    """The masked entries of each block, as blocks ``width`` wide."""
+    at = np.flatnonzero(mask)
+    return [block.take(at).reshape(-1, width) for block in blocks]
 
-    def grow(column_order, depth):
-        rows = column_order[0]
-        node_size = len(rows)
-        grad_sum = float(grad[rows].sum())
-        hess_sum = float(hess[rows].sum())
-        leaf = TreeNode(value=_leaf_value(grad_sum, hess_sum))
-        if depth >= params.max_depth or node_size < params.min_samples_split:
-            return leaf
 
-        best_gain = GAIN_EPSILON
-        best = None
-        for feature in range(x.shape[1]):
-            ordered = column_order[feature]
-            found = _find_split(
-                x[ordered, feature], grad[ordered], weights[ordered],
-                params.min_samples_leaf,
-            )
-            if found is not None and found[0] > best_gain:
-                best_gain, position = found
-                best = (feature, position)
-        if best is None:
-            return leaf
+def _build_tree(order, values, grad, hess, params, importance, split_gains, leaf_values):
+    """Grow one regression tree on the gradient, depth-first.
 
-        feature, position = best
-        ordered = column_order[feature]
-        low = x[ordered[position], feature]
-        high = x[ordered[position + 1], feature]
+    A node carries three (n_features, node_size) blocks: its rows in each
+    feature's sorted order, the sorted values and the gathered gradient.
+    A split partitions all three by one mask, which keeps each row's order.
+    Nodes grow one at a time: a level-wise search with one cumsum across
+    nodes would round the prefix sums differently and change the trees.
+    Every row's leaf value is written into ``leaf_values``.
+    """
+    goes_left = np.zeros(len(hess), dtype=bool)
+
+    def grow(order, values, node_grad, depth):
+        size = order.shape[1]
+        found = None
+        if depth < params.max_depth and size >= params.min_samples_split:
+            found = _best_split(values, node_grad, params.min_samples_leaf)
+        if found is None:
+            rows = order[0]
+            value = _leaf_value(float(node_grad[0].sum()), float(hess[rows].sum()))
+            leaf_values[rows] = value
+            return TreeNode(value=value)
+
+        gain, feature, position = found
+        low = values[feature, position]
+        high = values[feature, position + 1]
         threshold = 0.5 * (low + high)
         if not low < threshold < high:
             threshold = low
 
-        goes_left = np.zeros(x.shape[0], dtype=bool)
-        goes_left[ordered[: position + 1]] = True
-        left_order = [order[goes_left[order]] for order in column_order]
-        right_order = [order[~goes_left[order]] for order in column_order]
+        left_rows = order[feature, : position + 1]
+        goes_left[left_rows] = True
+        left = goes_left[order]
+        goes_left[left_rows] = False
+        n_left = position + 1
 
-        importance[feature] += best_gain
-        split_gains.append(best_gain)
+        importance[feature] += gain
+        split_gains.append(gain)
+        blocks = (order, values, node_grad)
         return TreeNode(
             feature=feature,
             threshold=threshold,
-            gain=best_gain,
-            left=grow(left_order, depth + 1),
-            right=grow(right_order, depth + 1),
+            gain=gain,
+            left=grow(*_take_rows(blocks, left, n_left), depth + 1),
+            right=grow(*_take_rows(blocks, ~left, size - n_left), depth + 1),
         )
 
-    return grow(sorted_columns, 0)
+    return grow(order, values, grad[order], 0)
 
 
 def _tree_predict(node: TreeNode, x: np.ndarray) -> np.ndarray:
@@ -225,23 +223,23 @@ def fit(data: TrainingMatrix, params: GBDTParams | None = None) -> TreeEnsemble:
     if data.n_rows == 0:
         raise TrainingError("empty training matrix")
     y = data.y
-    weights = data.weights
-    positive_rate = float((weights * y).sum() / weights.sum())
+    positive_rate = float(y.sum()) / data.n_rows
     clamped = min(max(positive_rate, PROBABILITY_CLIP), 1.0 - PROBABILITY_CLIP)
     initial_score = math.log(clamped / (1.0 - clamped))
     importance = np.zeros(data.n_columns, dtype=np.float64)
 
     raw = np.full(data.n_rows, initial_score, dtype=np.float64)
-    losses = [_log_loss(y, _sigmoid(raw), weights)]
+    losses = [_log_loss(y, _sigmoid(raw))]
     if positive_rate in (0.0, 1.0):
         return TreeEnsemble(
             initial_score, [], params.learning_rate, list(data.column_names),
             importance, losses, [], degenerate=True,
         )
 
-    sorted_columns = [
-        np.argsort(data.x[:, j], kind="mergesort") for j in range(data.n_columns)
-    ]
+    columns = np.ascontiguousarray(data.x.T)
+    order = np.argsort(columns, axis=1, kind="mergesort")
+    values = np.take_along_axis(columns, order, axis=1)
+    leaf_values = np.empty(data.n_rows, dtype=np.float64)
     split_gains: list[float] = []
     trees = []
     for _ in range(params.n_trees):
@@ -249,12 +247,15 @@ def fit(data: TrainingMatrix, params: GBDTParams | None = None) -> TreeEnsemble:
         residual = y - prob
         hessian = prob * (1.0 - prob)
         tree = _build_tree(
-            data.x, residual, hessian, weights, sorted_columns, params,
-            importance, split_gains,
+            order, values, residual, hessian, params, importance, split_gains,
+            leaf_values,
         )
         trees.append(tree)
-        raw = raw + params.learning_rate * _tree_predict(tree, data.x)
-        losses.append(_log_loss(y, _sigmoid(raw), weights))
+        # The training rows reach the same leaves as in _tree_predict: a
+        # split never separates equal values, so every left row is at or
+        # below the threshold and every right row above it.
+        raw = raw + params.learning_rate * leaf_values
+        losses.append(_log_loss(y, _sigmoid(raw)))
 
     return TreeEnsemble(
         initial_score, trees, params.learning_rate, list(data.column_names),
@@ -357,9 +358,7 @@ def kfold_auc(
     fold_rocs = []
     for fold in range(k):
         held = fold_of == fold
-        train = TrainingMatrix(
-            data.x[~held], data.y[~held], list(data.column_names), data.weights[~held]
-        )
+        train = TrainingMatrix(data.x[~held], data.y[~held], list(data.column_names))
         model = fit(train, params)
         held_scores = predict_proba(model, data.x[held])
         fold_aucs.append(auc(held_scores, data.y[held]))

@@ -17,7 +17,7 @@ import numpy as np
 
 from .divergence import IncrementalSignal
 from .spear import PercentileSketch
-from .stream_model import Event
+from .stream_model import Event, check_score
 from .windows import ConfigError, WindowPair
 
 BURN_IN_SAMPLE_SIZE = 1000
@@ -140,7 +140,11 @@ class Monitor:
         return snap
 
     def step(self, event: Event) -> tuple[SignalPoint | None, AlarmTrigger | None]:
-        """Consume one event; maybe emit a signal point and an alarm."""
+        """Consume one event; maybe emit a signal point and an alarm.
+
+        A score the stream readers would reject raises before any state changes.
+        """
+        check_score(event.score)
         index = self.events_seen
         if (
             self._next_capture < len(self._capture_indices)

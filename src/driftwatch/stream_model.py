@@ -152,13 +152,18 @@ def _parse_timestamp(raw, line_number: int, previous: int | None) -> int:
     return ts
 
 
+def check_score(score: float, line_number: int | None = None) -> None:
+    """Raise :class:`ScoreRangeError` unless the score is finite and in [0, 1]."""
+    if not math.isfinite(score) or not 0.0 <= score <= 1.0:
+        raise ScoreRangeError(f"score {score} outside [0, 1]", line_number)
+
+
 def _parse_score(raw, line_number: int) -> float:
     try:
         score = float(raw)
     except (ValueError, TypeError) as exc:
         raise StreamError(f"bad score {raw!r}", line_number) from exc
-    if not math.isfinite(score) or not 0.0 <= score <= 1.0:
-        raise ScoreRangeError(f"score {score} outside [0, 1]", line_number)
+    check_score(score, line_number)
     return score
 
 
@@ -234,7 +239,10 @@ def read_csv_stream(source: TextIO, schema: FeatureSchema) -> Iterator[Event]:
 
 
 def read_jsonl_stream(source: TextIO, schema: FeatureSchema) -> Iterator[Event]:
-    """Yield events from a JSON-lines stream with the same keys as the CSV columns."""
+    """Yield events from a JSON-lines stream with the same keys as the CSV columns.
+
+    As in CSV, NUL is rejected, so every event read can be written as CSV.
+    """
     previous_ts = None
     for line_number, line in enumerate(source, start=1):
         line = line.strip()
@@ -258,6 +266,10 @@ def read_jsonl_stream(source: TextIO, schema: FeatureSchema) -> Iterator[Event]:
             for key, value in doc.items()
             if key.startswith(EXTRA_PREFIX)
         )
+        cells = [f for f in features if isinstance(f, str)]
+        cells += [part for pair in extras for part in pair]
+        if "\x00" in "".join(cells):
+            raise StreamError("cell contains NUL", line_number)
         yield Event(ts, score, features, extras)
 
 

@@ -2,13 +2,20 @@
 
 Everything here is deliberately written in the most literal way possible,
 with pure Python (and exact rational arithmetic where it matters), so a
-bug in the production code cannot hide behind a shared formula.
+bug in the production code cannot hide behind a shared formula. The
+boosted-tree reference is the exception: it is the per-feature, per-node
+numpy split search that the block search in ``driftwatch.gbdt`` replaced,
+kept so the two can be required to build identical ensembles.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+
+import numpy as np
+
+from driftwatch import gbdt
 
 
 def trace_update(positions, x, count):
@@ -107,3 +114,143 @@ def histogram_counts(scores, bin_count):
     for score in scores:
         counts[min(int(score * bin_count), bin_count - 1)] += 1
     return counts
+
+
+def _log_loss(y, prob, weights):
+    p = np.clip(prob, gbdt.PROBABILITY_CLIP, 1.0 - gbdt.PROBABILITY_CLIP)
+    terms = y * np.log(p) + (1 - y) * np.log1p(-p)
+    return float(-(weights * terms).sum() / weights.sum())
+
+
+def find_split(values, grad, weight, min_leaf):
+    """Best split of one presorted column; returns (gain, position) or None.
+
+    ``position`` is the last index of the left part. Gain is the weighted
+    least-squares impurity reduction S_l^2/W_l + S_r^2/W_r - S^2/W.
+    """
+    n = len(values)
+    if n < 2 * min_leaf:
+        return None
+    grad_left = np.cumsum(grad)[:-1]
+    weight_left = np.cumsum(weight)[:-1]
+    grad_total = float(grad.sum())
+    weight_total = float(weight.sum())
+    grad_right = grad_total - grad_left
+    weight_right = weight_total - weight_left
+
+    valid = values[:-1] < values[1:]
+    counts_left = np.arange(1, n)
+    valid &= counts_left >= min_leaf
+    valid &= (n - counts_left) >= min_leaf
+    valid &= (weight_left > 0) & (weight_right > 0)
+    if not valid.any():
+        return None
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gains = (
+            grad_left * grad_left / weight_left
+            + grad_right * grad_right / weight_right
+            - grad_total * grad_total / weight_total
+        )
+    gains = np.where(valid, gains, -np.inf)
+    at = int(np.argmax(gains))
+    return float(gains[at]), at
+
+
+def build_tree(x, residual, hessian, weights, sorted_columns, params, importance, split_gains):
+    """Grow one regression tree on the residuals, depth-first."""
+    grad = residual * weights
+    hess = hessian * weights
+
+    def grow(column_order, depth):
+        rows = column_order[0]
+        node_size = len(rows)
+        grad_sum = float(grad[rows].sum())
+        hess_sum = float(hess[rows].sum())
+        leaf = gbdt.TreeNode(value=gbdt._leaf_value(grad_sum, hess_sum))
+        if depth >= params.max_depth or node_size < params.min_samples_split:
+            return leaf
+
+        best_gain = gbdt.GAIN_EPSILON
+        best = None
+        for feature in range(x.shape[1]):
+            ordered = column_order[feature]
+            found = find_split(
+                x[ordered, feature], grad[ordered], weights[ordered],
+                params.min_samples_leaf,
+            )
+            if found is not None and found[0] > best_gain:
+                best_gain, position = found
+                best = (feature, position)
+        if best is None:
+            return leaf
+
+        feature, position = best
+        ordered = column_order[feature]
+        low = x[ordered[position], feature]
+        high = x[ordered[position + 1], feature]
+        threshold = 0.5 * (low + high)
+        if not low < threshold < high:
+            threshold = low
+
+        goes_left = np.zeros(x.shape[0], dtype=bool)
+        goes_left[ordered[: position + 1]] = True
+        left_order = [order[goes_left[order]] for order in column_order]
+        right_order = [order[~goes_left[order]] for order in column_order]
+
+        importance[feature] += best_gain
+        split_gains.append(best_gain)
+        return gbdt.TreeNode(
+            feature=feature,
+            threshold=threshold,
+            gain=best_gain,
+            left=grow(left_order, depth + 1),
+            right=grow(right_order, depth + 1),
+        )
+
+    return grow(sorted_columns, 0)
+
+
+def reference_fit(data, params=None):
+    """``gbdt.fit`` as it was with per-feature split search and unit weights.
+
+    Each node calls :func:`find_split` once per feature and the boosting
+    loop updates the raw scores through ``gbdt._tree_predict``.
+    """
+    params = params or gbdt.GBDTParams()
+    y = data.y
+    weights = np.ones(data.n_rows, dtype=np.float64)
+    positive_rate = float((weights * y).sum() / weights.sum())
+    clamped = min(max(positive_rate, gbdt.PROBABILITY_CLIP), 1.0 - gbdt.PROBABILITY_CLIP)
+    initial_score = math.log(clamped / (1.0 - clamped))
+    importance = np.zeros(data.n_columns, dtype=np.float64)
+
+    raw = np.full(data.n_rows, initial_score, dtype=np.float64)
+    losses = [_log_loss(y, gbdt._sigmoid(raw), weights)]
+    if positive_rate in (0.0, 1.0):
+        return gbdt.TreeEnsemble(
+            initial_score, [], params.learning_rate, list(data.column_names),
+            importance, losses, [], degenerate=True,
+        )
+
+    sorted_columns = [
+        np.argsort(data.x[:, j], kind="mergesort") for j in range(data.n_columns)
+    ]
+    split_gains = []
+    trees = []
+    for _ in range(params.n_trees):
+        prob = gbdt._sigmoid(raw)
+        residual = y - prob
+        hessian = prob * (1.0 - prob)
+        tree = build_tree(
+            data.x, residual, hessian, weights, sorted_columns, params,
+            importance, split_gains,
+        )
+        trees.append(tree)
+        raw = raw + params.learning_rate * gbdt._tree_predict(tree, data.x)
+        losses.append(_log_loss(y, gbdt._sigmoid(raw), weights))
+
+    return gbdt.TreeEnsemble(
+        initial_score, trees, params.learning_rate, list(data.column_names),
+        importance, losses, split_gains,
+    )

@@ -268,6 +268,32 @@ class TestExitCodes:
         assert code == EXIT_CONFIG
         assert "missing monitor.n_t" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "settings, message",
+        [
+            ("monitor.n_r = 400\nmonitor.n_t = 150\nreport.cv_folds = 1\n", "cv_folds"),
+            ("monitor.n_r = 400\nmonitor.n_t = 150\nreport.cv_folds = 0\n", "cv_folds"),
+            ("monitor.n_r = 400\nmonitor.n_t = 1\n", "at least 2"),
+            ("monitor.n_r = 1\nmonitor.n_t = 150\n", "at least 2"),
+            ("monitor.n_r = 400\nmonitor.n_t = 150\nreport.workers = 1\n",
+             "unknown config key"),
+        ],
+        ids=["cv_folds_1", "cv_folds_0", "n_t_1", "n_r_1", "report_workers"],
+    )
+    def test_setting_that_breaks_reports_is_a_config_error(
+        self, workspace, tmp_path, capsys, settings, message
+    ):
+        _, stream, _, _ = workspace
+        config = tmp_path / "c.conf"
+        config.write_text(settings)
+        out = tmp_path / "out"
+        code = main(["monitor", "--input", str(stream),
+                     "--schema", str(stream) + ".schema.json",
+                     "--config", str(config), "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_direction_policy_is_a_config_error(self, workspace, tmp_path):
         _, stream, _, _ = workspace
         config = tmp_path / "c.conf"
@@ -410,7 +436,6 @@ class TestConstantMemory:
             "monitor.sketch_bins = 20\nmonitor.min_signal_samples = 450\n"
             "monitor.threshold_percentile = 99.5\n"
             "monitor.refractory_events = 1000000000\n"
-            "report.workers = 1\n"
         )
 
         def peak_of(stream, name):

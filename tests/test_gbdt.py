@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from driftwatch import gbdt
-from oracles import pair_count_auc
+from oracles import pair_count_auc, reference_fit
 
 
-def matrix(x, y, weights=None):
+def matrix(x, y):
     x = np.asarray(x, dtype=np.float64)
     names = [f"f{j}" for j in range(x.shape[1])]
-    return gbdt.TrainingMatrix(x, y, names, weights)
+    return gbdt.TrainingMatrix(x, y, names)
 
 
 def step_problem(n=200, seed=0):
@@ -84,6 +84,79 @@ class TestFit:
         model = gbdt.fit(step_problem())
         with pytest.raises(gbdt.TrainingError):
             gbdt.predict_proba(model, np.zeros((3, 5)))
+
+
+def oracle_case(seed, rows, columns, kind):
+    """A fixture for the exactness oracle; ``kind`` picks the column values."""
+    rng = np.random.default_rng(seed)
+    if kind == "normal":
+        x = rng.normal(size=(rows, columns))
+    elif kind == "codes":  # integer category codes, so most neighbours tie
+        x = rng.integers(0, 4, size=(rows, columns)).astype(np.float64)
+    else:  # "ties": one decimal, plus a constant first column
+        x = np.round(rng.normal(size=(rows, columns)), 1)
+        x[:, 0] = 2.5
+    y = ((x[:, -1] + rng.normal(size=rows)) > 0).astype(np.int64)
+    if y.min() == y.max():
+        y[0] = 1 - y[0]
+    return matrix(x, y)
+
+
+def assert_same_ensemble(data, params):
+    """``fit`` and the reference build the same ``ensemble_to_json`` text.
+
+    On a mismatch only the text around the first difference is shown;
+    a full diff of two long JSON strings takes minutes.
+    """
+    actual = gbdt.ensemble_to_json(gbdt.fit(data, params))
+    expected = gbdt.ensemble_to_json(reference_fit(data, params))
+    if actual != expected:
+        at = next(
+            (i for i, (a, b) in enumerate(zip(actual, expected)) if a != b),
+            min(len(actual), len(expected)),
+        )
+        pytest.fail(
+            f"ensembles differ at character {at}: "
+            f"{actual[at - 80:at + 40]!r} != {expected[at - 80:at + 40]!r}"
+        )
+
+
+class TestExactnessOracle:
+    """The block split search builds exactly the per-feature reference's ensemble."""
+
+    @pytest.mark.parametrize("columns", [1, 8])
+    @pytest.mark.parametrize("kind", ["normal", "codes", "ties"])
+    @pytest.mark.parametrize("max_depth", [1, 2, 3, 4, 5, 6])
+    def test_same_ensemble_as_reference(self, columns, kind, max_depth):
+        data = oracle_case(max_depth * 10 + columns, 120, columns, kind)
+        assert_same_ensemble(data, gbdt.GBDTParams(n_trees=8, max_depth=max_depth))
+
+    @pytest.mark.parametrize("kind", ["normal", "codes", "ties"])
+    @pytest.mark.parametrize(
+        "min_samples_split, min_samples_leaf", [(2, 1), (10, 1), (2, 7), (25, 12)]
+    )
+    def test_same_ensemble_with_size_limits(self, kind, min_samples_split, min_samples_leaf):
+        data = oracle_case(min_samples_split + min_samples_leaf, 200, 3, kind)
+        params = gbdt.GBDTParams(
+            n_trees=10, max_depth=5,
+            min_samples_split=min_samples_split, min_samples_leaf=min_samples_leaf,
+        )
+        assert_same_ensemble(data, params)
+
+    @pytest.mark.parametrize(
+        "x, y",
+        [
+            ([[0.0], [1.0]], [0, 1]),
+            ([[1.0, 3.0], [1.0, 2.0]], [1, 0]),
+            ([[5.0, 5.0], [5.0, 5.0]], [0, 1]),
+            ([[1.0], [2.0], [3.0]], [1, 1, 1]),
+            (np.ones((6, 2)), [0] * 6),
+        ],
+        ids=["two_rows", "two_rows_constant_column", "two_equal_rows",
+             "single_class_ones", "single_class_zeros"],
+    )
+    def test_same_ensemble_on_tiny_inputs(self, x, y):
+        assert_same_ensemble(matrix(x, np.asarray(y, dtype=np.int64)), None)
 
 
 class TestRankInvariance:

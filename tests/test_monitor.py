@@ -1,7 +1,11 @@
 """Tests for the streaming monitor and valley selection."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from driftwatch import (
     Event,
@@ -11,6 +15,7 @@ from driftwatch import (
     SignalPoint,
     select_valleys,
 )
+from driftwatch.stream_model import ScoreRangeError
 from driftwatch.windows import ConfigError
 
 from helpers import score_events, tiny_monitor_config
@@ -321,3 +326,38 @@ class TestSelectValleys:
     def test_valleys_use_event_indices_not_positions(self):
         series = constant_series(0.0, 30, start_index=500)
         assert select_valleys(series, 2, min_spacing=10) == [500, 510]
+
+
+def monitor_state(monitor):
+    """Everything ``Monitor.step`` can change, as comparable values."""
+    signal = monitor.signal_state
+    return (
+        list(monitor.windows.r_events),
+        list(monitor.windows.t_events),
+        signal.hist_r.counts.tolist(), signal.hist_r.total,
+        signal.hist_t.counts.tolist(), signal.hist_t.total,
+        list(monitor.sketch.positions), monitor.sketch.count,
+        monitor.sketch._rng.getstate(),
+        monitor.events_seen, monitor.signal_samples, monitor.alarm_count,
+        monitor.last_alarm_index, monitor.burn_in_sample, monitor._next_capture,
+    )
+
+
+class TestScoreValidation:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        prefix=st.lists(st.floats(0.0, 1.0), max_size=160),
+        bad=st.one_of(
+            st.just(math.nan), st.just(math.inf), st.just(-math.inf),
+            st.floats(max_value=-1e-300, allow_infinity=False),
+            st.floats(min_value=1.0, exclude_min=True, allow_nan=False, allow_infinity=False),
+        ),
+    )
+    def test_rejected_score_leaves_state_unchanged(self, prefix, bad):
+        monitor = Monitor(tiny_monitor_config(), seed=3)
+        for i, score in enumerate(prefix):
+            monitor.step(Event(i, score, ()))
+        before = monitor_state(monitor)
+        with pytest.raises(ScoreRangeError):
+            monitor.step(Event(len(prefix), bad, ()))
+        assert monitor_state(monitor) == before

@@ -145,6 +145,19 @@ class TestJsonlReader:
         events = list(read_jsonl_stream(io.StringIO(line + "\n"), AMOUNT_CHANNEL))
         assert events[0].extras_dict() == {"card": "1234"}
 
+    @pytest.mark.parametrize(
+        "cells",
+        [{"channel": "a\x00b"}, {"channel": "web", "extra.card": "12\x0034"},
+         {"channel": "web", "extra.ca\x00rd": "1234"}],
+        ids=["categorical", "extra_value", "extra_key"],
+    )
+    def test_nul_rejected_with_line_number(self, cells):
+        good = json.dumps({"timestamp": 1, "score": 0.5, "amount": 1.0, "channel": "web"})
+        bad = json.dumps({"timestamp": 2, "score": 0.5, "amount": 1.0, **cells})
+        with pytest.raises(StreamError, match="NUL") as exc:
+            list(read_jsonl_stream(io.StringIO(f"{good}\n{bad}\n"), AMOUNT_CHANNEL))
+        assert exc.value.line_number == 2
+
     def test_format_dispatch(self):
         line = json.dumps({"timestamp": 1, "score": 0.5, "amount": 1.0, "channel": "c"})
         events = list(read_stream(io.StringIO(line + "\n"), AMOUNT_CHANNEL, "jsonl"))
