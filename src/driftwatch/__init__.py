@@ -25,7 +25,7 @@ from .explain import (
 )
 from .gbdt import GBDTParams, TrainingMatrix, TreeEnsemble, auc, fit, kfold_auc
 from .monitor import AlarmTrigger, Monitor, MonitorConfig, SignalPoint, select_valleys
-from .report import AlarmReport, render_markdown, report_from_json, report_to_json
+from .report import AlarmReport, render_markdown, report_to_json
 from .spear import PercentileSketch, update_percentiles
 from .stream_model import (
     CATEGORICAL,
@@ -92,7 +92,6 @@ __all__ = [
     "rank_target_events",
     "read_stream",
     "render_markdown",
-    "report_from_json",
     "report_to_json",
     "select_valleys",
     "shuffle_count",

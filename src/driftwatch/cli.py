@@ -115,7 +115,6 @@ _MONITOR_FIELDS = {
     "refractory_events": int,
     "min_signal_samples": int,
     "valley_percentile": float,
-    "direction_policy": str,
 }
 _RUNNER_FIELDS = {"valley_count": int}
 _REPORT_FIELDS = {
@@ -168,24 +167,10 @@ def load_run_config(path: str) -> tuple[MonitorConfig, ReportConfig, RunnerConfi
 
     echo = {
         "monitor": {
-            "n_r": monitor_config.n_r,
-            "n_t": monitor_config.n_t,
-            "bin_count": monitor_config.bin_count,
-            "threshold_percentile": monitor_config.threshold_percentile,
-            "sketch_bins": monitor_config.sketch_bins,
-            "refractory_events": monitor_config.refractory_events,
-            "min_signal_samples": monitor_config.min_signal_samples,
-            "valley_percentile": monitor_config.valley_percentile,
-            "direction_policy": monitor_config.direction_policy,
+            **{name: getattr(monitor_config, name) for name in _MONITOR_FIELDS},
             "valley_count": runner_config.valley_count,
         },
-        "report": {
-            "cv_folds": report_config.cv_folds,
-            "top_events": report_config.top_events,
-            "top_importances": report_config.top_importances,
-            "validation_step": report_config.validation_step,
-            "validation_max_k": report_config.validation_max_k,
-        },
+        "report": {name: getattr(report_config, name) for name in _REPORT_FIELDS},
     }
     return monitor_config, report_config, runner_config, echo
 
@@ -279,11 +264,7 @@ def cmd_monitor(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    try:
-        monitor = Monitor(monitor_config, seed=args.seed)
-    except (ConfigError, ValueError) as exc:
-        raise CliError(str(exc), EXIT_CONFIG) from exc
-
+    monitor = Monitor(monitor_config, seed=args.seed)
     digest = _sha256_of(input_path)
     signal_path = out_dir / SIGNAL_FILE
     valleys = ValleyCollector(runner_config.valley_count, monitor_config.n_t)

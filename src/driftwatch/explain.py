@@ -18,6 +18,7 @@ import numpy as np
 
 from . import gbdt
 from .divergence import ScoreHistogram, jsd
+from .monitor import burn_in_sample_indices
 from .report import AlarmReport, RankedEventRow
 from .stream_model import (
     CATEGORICAL,
@@ -192,12 +193,6 @@ def _categorical_series(events, feature_index):
                     dtype=np.float64)
 
 
-def _burn_in_sample_indices(total: int, sample_size: int) -> np.ndarray:
-    if total <= sample_size:
-        return np.arange(total)
-    return np.round(np.linspace(0, total - 1, sample_size)).astype(np.int64)
-
-
 def time_correlation_filter(
     burn_in_events: list[Event],
     schema: FeatureSchema,
@@ -216,7 +211,7 @@ def time_correlation_filter(
     """
     if len(burn_in_events) == 0:
         raise ValueError("empty burn-in")
-    picked = _burn_in_sample_indices(len(burn_in_events), sample_size)
+    picked = burn_in_sample_indices(len(burn_in_events), sample_size)
     if len(picked) < sample_size:
         warnings.warn(
             f"burn-in has {len(burn_in_events)} events, fewer than the "

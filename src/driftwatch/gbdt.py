@@ -43,6 +43,8 @@ class TrainingMatrix:
             raise TrainingError("row counts disagree")
         if self.x.shape[1] != len(self.column_names):
             raise TrainingError("column names disagree with x arity")
+        if self.x.shape[1] == 0:
+            raise TrainingError("x has no columns")
 
     @property
     def n_rows(self) -> int:

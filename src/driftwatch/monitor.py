@@ -65,7 +65,6 @@ class MonitorConfig:
     refractory_events: int | None = None
     min_signal_samples: int | None = None
     valley_percentile: float = 10.0
-    direction_policy: str = "random"
 
     def __post_init__(self):
         if self.n_r < 1 or self.n_t < 1:
@@ -106,15 +105,13 @@ class Monitor:
         self.config = config
         self.windows = WindowPair(config.n_r, config.n_t)
         self.signal_state = IncrementalSignal(config.bin_count)
-        self.sketch = PercentileSketch(
-            config.sketch_bins, config.direction_policy, seed=seed
-        )
+        self.sketch = PercentileSketch(config.sketch_bins, seed=seed)
         self.events_seen = 0
         self.signal_samples = 0
         self.alarm_count = 0
         self.last_alarm_index: int | None = None
         self._burn_in_sample: list[Event] = []
-        self._capture_indices = _burn_in_capture_indices(
+        self._capture_indices = burn_in_sample_indices(
             config.burn_in_events, BURN_IN_SAMPLE_SIZE
         )
         self._next_capture = 0
@@ -190,7 +187,8 @@ class Monitor:
         return index - self.last_alarm_index > self.config.refractory_events
 
 
-def _burn_in_capture_indices(total: int, sample_size: int) -> np.ndarray:
+def burn_in_sample_indices(total: int, sample_size: int) -> np.ndarray:
+    """``sample_size`` evenly spaced indices into ``range(total)``, or all of them."""
     if total <= sample_size:
         return np.arange(total)
     return np.round(np.linspace(0, total - 1, sample_size)).astype(np.int64)

@@ -117,67 +117,6 @@ def report_to_json(report: AlarmReport) -> str:
     return json.dumps(to_json_dict(report), indent=2)
 
 
-def report_from_json(text: str) -> AlarmReport:
-    """Rebuild a report from its JSON document (for re-rendering)."""
-    from .explain import FeatureFilterEntry, MicFilterResult, ValidationCurve
-
-    doc = json.loads(text)
-    windows = doc["windows"]
-    filt = doc["time_correlation_filter"]
-    curve = doc["validation_curve"]
-    cv = doc["cross_validation"]
-    return AlarmReport(
-        alarm_index=doc["alarm_index"],
-        event_index=doc["event_index"],
-        timestamp=doc["timestamp"],
-        signal=doc["signal"],
-        threshold=doc["threshold"],
-        r_size=windows["r_size"],
-        t_size=windows["t_size"],
-        r_start_timestamp=windows["r_start_timestamp"],
-        r_end_timestamp=windows["r_end_timestamp"],
-        t_start_timestamp=windows["t_start_timestamp"],
-        t_end_timestamp=windows["t_end_timestamp"],
-        importances=[(f["feature"], f["gain"]) for f in doc["feature_importance"]],
-        event_columns=list(doc["event_columns"]),
-        ranked_events=[
-            RankedEventRow(
-                rank=row["rank"],
-                alarm_score=row["alarm_score"],
-                timestamp=row["timestamp"],
-                extras=dict(row["extras"]),
-                cells=list(row["cells"]),
-            )
-            for row in doc["ranked_events"]
-        ],
-        validation=ValidationCurve(
-            tuple(curve["k_values"]),
-            tuple(curve["ranked_jsd"]),
-            tuple(curve["random_jsd"]),
-            curve["seed_note"],
-        ),
-        cv_mean_auc=cv["mean_auc"],
-        cv_fold_aucs=list(cv["fold_aucs"]),
-        cv_rocs=[[(fpr, tpr) for fpr, tpr in roc] for roc in cv["fold_rocs"]],
-        cv_k=cv["k"],
-        filter_result=MicFilterResult(
-            tuple(
-                FeatureFilterEntry(
-                    f["name"], f["kind"], f["mic"], f["shuffle_threshold"],
-                    f["removed"], f["warning"],
-                )
-                for f in filt["features"]
-            ),
-            filt["shuffles"],
-            filt["sample_size"],
-            filt["alpha"],
-            filt["confidence"],
-            filt["estimator"],
-        ),
-        warnings=list(doc["warnings"]),
-    )
-
-
 def _table(header: list[str], rows: list[list[str]]) -> str:
     lines = ["| " + " | ".join(header) + " |",
              "| " + " | ".join("---" for _ in header) + " |"]

@@ -7,9 +7,9 @@ estimated event count equal in every bin. Each consumed value updates all
 walls in a single linear sweep, so time per event is O(n) and space is
 O(n) regardless of how many values have streamed through.
 
-The sweep can run left-to-right or, on the mirrored positions,
-right-to-left, and the default policy flips a seeded coin per event
-between the two. Either way a wall moves right at the density of the bin
+There is one sweep rule: a seeded coin, flipped once per event, picks
+whether the walls are swept left-to-right or, on the mirrored positions,
+right-to-left. Either way a wall moves right at the density of the bin
 above it and left at the density of the bin below it. Where those
 densities differ, as they do wherever the density curves through a
 tail, the wall settles away from its nominal level ``i / n``, and it
@@ -22,19 +22,10 @@ rather than at ``i / n``.
 from __future__ import annotations
 
 import bisect
-import json
 import math
 import random
 
 JITTER = 1e-9
-
-POLICIES = (
-    "left_right",
-    "right_left",
-    "bidirectional_average",
-    "alternate",
-    "random",
-)
 
 
 class SketchWarmupError(Exception):
@@ -142,21 +133,20 @@ class PercentileSketch:
 
     The first ``n + 1`` values initialize the positions in sorted order;
     duplicates get a deterministic additive jitter so positions start
-    strictly sorted. Later values update the walls per the configured
-    direction policy.
+    strictly sorted. Each later value sweeps the walls in the direction
+    a coin drawn from ``random.Random(seed)`` picks. ``policy`` names that
+    rule and accepts only ``"random"``.
     """
 
     def __init__(self, n: int = 100, policy: str = "random", seed: int = 0):
         if n < 2:
             raise ValueError("sketch needs at least 2 bins")
-        if policy not in POLICIES:
+        if policy != "random":
             raise ValueError(f"unknown direction policy {policy!r}")
         self.n = n
-        self.policy = policy
         self.positions: list[float] = []
         self.count = 0
         self._rng = random.Random(seed)
-        self._go_left_next = False
 
     @property
     def initialized(self) -> bool:
@@ -182,23 +172,7 @@ class PercentileSketch:
             self.count += 1
             return
 
-        if self.policy == "left_right":
-            forward = True
-        elif self.policy == "right_left":
-            forward = False
-        elif self.policy == "alternate":
-            forward = not self._go_left_next
-            self._go_left_next = forward
-        elif self.policy == "random":
-            forward = self._rng.random() < 0.5
-        else:  # bidirectional_average
-            ahead = update_percentiles(self.positions, x, self.count)
-            behind = update_percentiles_reversed(self.positions, x, self.count)
-            self.positions = [0.5 * (a + b) for a, b in zip(ahead, behind)]
-            self.count += 1
-            return
-
-        if forward:
+        if self._rng.random() < 0.5:
             self.positions = update_percentiles(self.positions, x, self.count)
         else:
             self.positions = update_percentiles_reversed(self.positions, x, self.count)
@@ -245,28 +219,3 @@ class PercentileSketch:
             low = wall_rank(p, k, beta)
         frac = (rank - low) / (high - low)
         return p[k] + frac * (p[k + 1] - p[k])
-
-    def to_json(self) -> str:
-        """Checkpoint the sketch state, including the policy RNG."""
-        state = self._rng.getstate()
-        return json.dumps(
-            {
-                "n": self.n,
-                "policy": self.policy,
-                "count": self.count,
-                "positions": self.positions,
-                "rng_state": [state[0], list(state[1]), state[2]],
-                "go_left_next": self._go_left_next,
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "PercentileSketch":
-        doc = json.loads(text)
-        sketch = cls(doc["n"], doc["policy"])
-        sketch.positions = [float(v) for v in doc["positions"]]
-        sketch.count = int(doc["count"])
-        version, internal, gauss = doc["rng_state"]
-        sketch._rng.setstate((version, tuple(internal), gauss))
-        sketch._go_left_next = bool(doc["go_left_next"])
-        return sketch

@@ -57,7 +57,7 @@ class WindowPair:
         return PushResult(moved, dropped)
 
     def snapshot(self) -> tuple[tuple[Event, ...], tuple[Event, ...]]:
-        """Immutable copies of (R, T), safe to hand to another thread."""
+        """Immutable copies of (R, T), unchanged by later pushes."""
         return tuple(self.r_events), tuple(self.t_events)
 
 

@@ -277,8 +277,11 @@ class TestExitCodes:
             ("monitor.n_r = 1\nmonitor.n_t = 150\n", "at least 2"),
             ("monitor.n_r = 400\nmonitor.n_t = 150\nreport.workers = 1\n",
              "unknown config key"),
+            ("monitor.n_r = 400\nmonitor.n_t = 150\nmonitor.direction_policy = random\n",
+             "unknown config key"),
         ],
-        ids=["cv_folds_1", "cv_folds_0", "n_t_1", "n_r_1", "report_workers"],
+        ids=["cv_folds_1", "cv_folds_0", "n_t_1", "n_r_1", "report_workers",
+             "direction_policy"],
     )
     def test_setting_that_breaks_reports_is_a_config_error(
         self, workspace, tmp_path, capsys, settings, message

@@ -80,6 +80,10 @@ class TestFit:
         with pytest.raises(gbdt.TrainingError):
             gbdt.fit(matrix(np.zeros((0, 2)), np.zeros(0, dtype=int)))
 
+    def test_zero_columns_rejected(self):
+        with pytest.raises(gbdt.TrainingError, match="no columns"):
+            gbdt.TrainingMatrix(np.zeros((4, 0)), [0, 1, 0, 1], [])
+
     def test_arity_mismatch_rejected(self):
         model = gbdt.fit(step_problem())
         with pytest.raises(gbdt.TrainingError):

@@ -66,11 +66,6 @@ class TestConfig:
         with pytest.raises(ConfigError):
             MonitorConfig(**settings)
 
-    def test_unknown_direction_policy_rejected_at_construction(self):
-        config = MonitorConfig(n_r=50, n_t=20, direction_policy="sideways")
-        with pytest.raises(ValueError):
-            Monitor(config)
-
 
 class TestEmissionGating:
     def test_first_point_arrives_exactly_when_burn_in_ends(self):

@@ -1,6 +1,5 @@
-"""Streaming percentile sketch: wall updates, policies, accuracy."""
+"""Streaming percentile sketch: wall updates, the sweep rule, accuracy."""
 
-import json
 import random
 
 import pytest
@@ -78,14 +77,14 @@ def test_forward_update_matches_rational_oracle(n, seed):
 
 class TestInitialization:
     def test_first_values_inserted_sorted(self):
-        sketch = PercentileSketch(n=3, policy="left_right")
+        sketch = PercentileSketch(n=3)
         for value in [5.0, 1.0, 9.0, 3.0]:
             sketch.consume(value)
         assert sketch.positions == [1.0, 3.0, 5.0, 9.0]
         assert sketch.initialized
 
     def test_duplicates_jittered_strictly_sorted(self):
-        sketch = PercentileSketch(n=4, policy="left_right")
+        sketch = PercentileSketch(n=4)
         for _ in range(5):
             sketch.consume(0.0)
         assert all(a < b for a, b in zip(sketch.positions, sketch.positions[1:]))
@@ -108,7 +107,7 @@ class TestInitialization:
 
 class TestPercentileQuery:
     def setup_method(self):
-        self.sketch = PercentileSketch(n=4, policy="left_right")
+        self.sketch = PercentileSketch(n=4)
         for value in [0.0, 1.0, 2.0, 3.0, 4.0]:
             self.sketch.consume(value)
 
@@ -181,35 +180,23 @@ class TestWallLevels:
 
 
 class TestPolicies:
-    def test_alternate_flips_direction_each_event(self):
-        left = PercentileSketch(n=4, policy="left_right")
-        alternate = PercentileSketch(n=4, policy="alternate")
-        rng = random.Random(1)
-        warm = [rng.random() for _ in range(5)]
-        for v in warm:
-            left.consume(v)
-            alternate.consume(v)
-        first = rng.random()
-        left.consume(first)
-        alternate.consume(first)
-        assert alternate.positions == left.positions  # first pass goes left-right
-        second = rng.random()
-        expected = update_percentiles_reversed(
-            alternate.positions, second, alternate.count
-        )
-        alternate.consume(second)
-        assert alternate.positions == expected
-
-    def test_bidirectional_is_elementwise_average(self):
-        sketch = PercentileSketch(n=4, policy="bidirectional_average")
-        rng = random.Random(2)
-        for _ in range(5):
-            sketch.consume(rng.random())
-        x = rng.random()
-        ahead = update_percentiles(sketch.positions, x, sketch.count)
-        behind = update_percentiles_reversed(sketch.positions, x, sketch.count)
-        sketch.consume(x)
-        assert sketch.positions == [0.5 * (a + b) for a, b in zip(ahead, behind)]
+    def test_coin_picks_the_sweep_direction(self):
+        seed = 21
+        sketch = PercentileSketch(n=8, policy="random", seed=seed)
+        coin = random.Random(seed)
+        values = random.Random(8)
+        warm = [values.gauss(0, 1) for _ in range(9)]
+        for value in warm:
+            sketch.consume(value)
+        positions = sorted(warm)
+        for count in range(9, 400):
+            value = values.gauss(0, 1)
+            sketch.consume(value)
+            if coin.random() < 0.5:
+                positions = update_percentiles(positions, value, count)
+            else:
+                positions = update_percentiles_reversed(positions, value, count)
+            assert sketch.positions == positions
 
     def test_random_policy_deterministic_per_seed(self):
         streams = []
@@ -220,30 +207,6 @@ class TestPolicies:
                 sketch.consume(rng.random())
             streams.append(sketch.positions)
         assert streams[0] == streams[1]
-
-
-class TestCheckpoint:
-    def test_round_trip_preserves_future_behavior(self):
-        original = PercentileSketch(n=6, policy="random", seed=13)
-        rng = random.Random(6)
-        for _ in range(200):
-            original.consume(rng.random())
-        restored = PercentileSketch.from_json(original.to_json())
-        tail = [rng.random() for _ in range(200)]
-        for value in tail:
-            original.consume(value)
-            restored.consume(value)
-        assert restored.positions == original.positions
-        assert restored.percentile(95) == original.percentile(95)
-
-    def test_checkpoint_carries_counts_and_policy(self):
-        sketch = PercentileSketch(n=3, policy="alternate")
-        for value in [4.0, 2.0, 8.0, 6.0]:
-            sketch.consume(value)
-        doc = json.loads(sketch.to_json())
-        assert doc["n"] == 3
-        assert doc["policy"] == "alternate"
-        assert doc["count"] == 4
 
 
 class TestAccuracy:
