@@ -156,7 +156,7 @@ def load_run_config(path: str) -> tuple[MonitorConfig, ReportConfig, RunnerConfi
 
     try:
         monitor_config = MonitorConfig(**monitor_kwargs)
-        report_config = ReportConfig(**report_kwargs)
+        report_config = ReportConfig(bin_count=monitor_config.bin_count, **report_kwargs)
         runner_config = RunnerConfig(**runner_kwargs)
     except ConfigError as exc:
         raise CliError(str(exc), EXIT_CONFIG) from exc
@@ -164,6 +164,10 @@ def load_run_config(path: str) -> tuple[MonitorConfig, ReportConfig, RunnerConfi
         # Every alarm report cross-validates R against T, which needs at
         # least two rows of each window.
         raise CliError("monitor.n_r and monitor.n_t must be at least 2", EXIT_CONFIG)
+    max_k = report_config.validation_max_k
+    if max_k is not None and max_k >= monitor_config.n_t:
+        # The validation curve peels up to max_k events from T.
+        raise CliError("report.validation_max_k must be less than monitor.n_t", EXIT_CONFIG)
 
     echo = {
         "monitor": {

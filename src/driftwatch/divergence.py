@@ -2,12 +2,17 @@
 
 The drift signal is the JSD, in shannon units (base-2 entropy), between
 the score histograms of the reference and target windows. Histograms keep
-integer counts so that incremental maintenance matches batch construction
-exactly.
+integer counts, and the JSD is the correctly rounded sum (``math.fsum``)
+of one term per bin computed from that bin's two counts and the two
+totals. The result therefore depends only on the two count vectors, not
+on the order or history that produced them: :class:`IncrementalSignal`,
+which recomputes only the terms of the bins a push touched, returns the
+batch :func:`jsd` bit for bit at every step.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -57,16 +62,21 @@ class ScoreHistogram:
             raise EmptyWindowError("histogram over empty score list")
         return hist
 
-    def add(self, score: float) -> None:
-        self.counts[bin_of(score, self.bin_count)] += 1
+    def add(self, score: float) -> int:
+        """Count one score; returns its bin index."""
+        index = bin_of(score, self.bin_count)
+        self.counts[index] += 1
         self.total += 1
+        return index
 
-    def remove(self, score: float) -> None:
+    def remove(self, score: float) -> int:
+        """Uncount one score; returns its bin index."""
         index = bin_of(score, self.bin_count)
         if self.counts[index] == 0:
             raise ValueError(f"removing score {score} from empty bin {index}")
         self.counts[index] -= 1
         self.total -= 1
+        return index
 
     def mass(self) -> np.ndarray:
         if self.total == 0:
@@ -77,32 +87,56 @@ class ScoreHistogram:
         return ScoreHistogram(self.bin_count, self.counts.copy(), self.total)
 
 
-def _entropy_bits(mass: np.ndarray) -> float:
-    """Shannon entropy in bits with the 0*log(0) = 0 convention."""
-    nonzero = mass[mass > 0.0]
-    return float(-(nonzero * np.log2(nonzero)).sum())
+def _plogp(x: float) -> float:
+    """``x * log2(x)`` with the 0 * log(0) = 0 convention."""
+    return x * math.log2(x) if x > 0.0 else 0.0
+
+
+def _bin_term(r: int, t: int, n_r: int, n_t: int) -> float:
+    """One bin's share of the JSD between masses ``r / n_r`` and ``t / n_t``.
+
+    With ``m`` the average of the two masses the term is
+    ``(p log p + q log q) / 2 - m log m``, and the JSD is the sum of the
+    terms over the bins. Both sums inside the term commute, so swapping
+    the histograms gives the same float, and equal masses give exactly 0.
+    """
+    p = r / n_r
+    q = t / n_t
+    m = 0.5 * (p + q)
+    if m == 0.0:
+        return 0.0
+    return 0.5 * (_plogp(p) + _plogp(q)) - m * math.log2(m)
+
+
+def _clamped_sum(terms) -> float:
+    value = math.fsum(terms)
+    if value < 0.0:
+        return 0.0
+    if value > 1.0:
+        return 1.0
+    return value
 
 
 def jsd(p: ScoreHistogram, q: ScoreHistogram) -> float:
     """Jensen-Shannon divergence between two histograms, in shannons.
 
     Returns H(m) - (H(p) + H(q)) / 2 with m the pointwise average
-    histogram. Bounded in [0, 1]; 0 for identical histograms, 1 for
-    disjoint supports.
+    histogram, as the ``math.fsum`` of the per-bin terms of
+    :func:`_bin_term`. ``fsum`` is correctly rounded, so the value is
+    exactly symmetric and depends only on the counts, not on the order in
+    which the terms are summed. Bounded in [0, 1]; 0 for identical
+    histograms, 1 for disjoint supports.
     """
     if p.bin_count != q.bin_count:
         raise IncompatibleHistogramsError(
             f"bin counts differ: {p.bin_count} vs {q.bin_count}"
         )
-    p_mass = p.mass()
-    q_mass = q.mass()
-    mid = 0.5 * (p_mass + q_mass)
-    value = _entropy_bits(mid) - 0.5 * (_entropy_bits(p_mass) + _entropy_bits(q_mass))
-    if value < 0.0:
-        return 0.0
-    if value > 1.0:
-        return 1.0
-    return value
+    n_p, n_q = p.total, q.total
+    if n_p == 0 or n_q == 0:
+        raise EmptyWindowError("mass of empty histogram")
+    return _clamped_sum(
+        _bin_term(r, t, n_p, n_q) for r, t in zip(p.counts.tolist(), q.counts.tolist())
+    )
 
 
 def signal(pair: WindowPair, bin_count: int = DEFAULT_BIN_COUNT) -> float:
@@ -115,24 +149,47 @@ def signal(pair: WindowPair, bin_count: int = DEFAULT_BIN_COUNT) -> float:
 
 
 class IncrementalSignal:
-    """Maintains the two window histograms incrementally per pushed event.
+    """Maintains the two window histograms and their JSD per pushed event.
 
     Feed every push's displacement result; the counts then equal a batch
-    rebuild of the current windows at every step.
+    rebuild of the current windows at every step. Each bin's JSD term is
+    kept, and :meth:`value` recomputes only the terms of the bins changed
+    since its last call (all of them when a window total changed, as it
+    does during warm-up), so it equals :func:`jsd` of the two histograms
+    exactly.
     """
 
     def __init__(self, bin_count: int = DEFAULT_BIN_COUNT):
         self.bin_count = bin_count
         self.hist_r = ScoreHistogram(bin_count)
         self.hist_t = ScoreHistogram(bin_count)
+        self._terms = [0.0] * bin_count
+        self._changed: set[int] = set()
+        self._totals: tuple[int, int] | None = None
 
     def update(self, pushed_score: float, result: PushResult) -> None:
-        self.hist_t.add(pushed_score)
+        changed = self._changed
+        changed.add(self.hist_t.add(pushed_score))
         if result.moved_to_r is not None:
-            self.hist_t.remove(result.moved_to_r.score)
+            changed.add(self.hist_t.remove(result.moved_to_r.score))
             self.hist_r.add(result.moved_to_r.score)
         if result.dropped is not None:
-            self.hist_r.remove(result.dropped.score)
+            changed.add(self.hist_r.remove(result.dropped.score))
 
     def value(self) -> float:
-        return jsd(self.hist_r, self.hist_t)
+        n_r = self.hist_r.total
+        n_t = self.hist_t.total
+        if n_r == 0 or n_t == 0:
+            raise EmptyWindowError("mass of empty histogram")
+        if self._totals != (n_r, n_t):
+            self._totals = (n_r, n_t)
+            bins = range(self.bin_count)
+        else:
+            bins = self._changed
+        r_counts = self.hist_r.counts
+        t_counts = self.hist_t.counts
+        terms = self._terms
+        for i in bins:
+            terms[i] = _bin_term(int(r_counts[i]), int(t_counts[i]), n_r, n_t)
+        self._changed.clear()
+        return _clamped_sum(terms)

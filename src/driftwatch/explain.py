@@ -343,8 +343,10 @@ def validation_curve(
         step = max(1, size // 50)
     if max_k is None:
         max_k = size // 2
-    if max_k >= size:
-        raise ValueError("max_k must leave at least one event in T")
+    if not 0 <= max_k < size:
+        raise ValueError("max_k must be non-negative and leave at least one event in T")
+    if step < 1:
+        raise ValueError("step must be at least 1")
     rng = rng or np.random.default_rng(0)
 
     hist_r = ScoreHistogram.from_scores((e.score for e in r_events), bin_count)
@@ -384,8 +386,16 @@ class ReportConfig:
     mic_confidence: float = DEFAULT_SHUFFLE_CONFIDENCE
 
     def __post_init__(self):
+        if self.bin_count < 1:
+            raise ConfigError("bin_count must be at least 1")
         if self.cv_folds < 2:
             raise ConfigError("cv_folds must be at least 2")
+        if self.top_events < 0 or self.top_importances < 0:
+            raise ConfigError("top_events and top_importances must be non-negative")
+        if self.validation_step is not None and self.validation_step < 1:
+            raise ConfigError("validation_step must be at least 1")
+        if self.validation_max_k is not None and self.validation_max_k < 0:
+            raise ConfigError("validation_max_k must be non-negative")
 
 
 def _seed_list(seed) -> list[int]:

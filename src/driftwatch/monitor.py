@@ -69,6 +69,8 @@ class MonitorConfig:
     def __post_init__(self):
         if self.n_r < 1 or self.n_t < 1:
             raise ConfigError("window sizes must be positive")
+        if self.bin_count < 1:
+            raise ConfigError("bin_count must be at least 1")
         if not 0.0 < self.threshold_percentile < 100.0:
             raise ConfigError("threshold_percentile must lie strictly inside (0, 100)")
         if not 0.0 < self.valley_percentile < 100.0:

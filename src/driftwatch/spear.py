@@ -4,16 +4,18 @@ The sketch keeps ``n + 1`` sorted positions ``P[0] .. P[n]`` interpreted as
 estimated percentile locations: ``P[0]`` tracks the running minimum,
 ``P[n]`` the running maximum, and the walls in between aim to keep the
 estimated event count equal in every bin. Each consumed value updates all
-walls in a single linear sweep, so time per event is O(n) and space is
-O(n) regardless of how many values have streamed through.
+walls in a single linear sweep over the wall list itself, in place, so
+time per event is O(n), space is O(n) regardless of how many values have
+streamed through, and no list is allocated per event.
 
 There is one sweep rule: a seeded coin, flipped once per event, picks
-whether the walls are swept left-to-right or, on the mirrored positions,
-right-to-left. Either way a wall moves right at the density of the bin
-above it and left at the density of the bin below it. Where those
-densities differ, as they do wherever the density curves through a
-tail, the wall settles away from its nominal level ``i / n``, and it
-does so in both directions alike. The bias shrinks with the bin width,
+whether the walls are swept left-to-right or right-to-left; the second
+is the mirror image of the first, written on the original axis. Either
+way a wall moves right at the density of the bin above it and left at
+the density of the bin below it. Where those densities differ, as they
+do wherever the density curves through a tail, the wall settles away
+from its nominal level ``i / n``, and it does so in both directions
+alike. The bias shrinks with the bin width,
 not with more data, so :meth:`PercentileSketch.percentile` reads each
 wall at the level where its expected step is zero (:func:`wall_rank`)
 rather than at ``i / n``.
@@ -32,8 +34,8 @@ class SketchWarmupError(Exception):
     """Percentile queried before the sketch collected n + 1 values."""
 
 
-def update_percentiles(positions: list[float], x: float, count: int) -> list[float]:
-    """One left-to-right wall update; returns new positions, input untouched.
+def _sweep_right(p: list[float], x: float, count: int) -> None:
+    """One left-to-right wall update of ``p``, in place.
 
     ``count`` is the number of values consumed before ``x``. The target
     count per bin after absorbing ``x`` is ``(count + 1) / n``; walls with
@@ -44,7 +46,6 @@ def update_percentiles(positions: list[float], x: float, count: int) -> list[flo
     by zero never occurs. Floating-point rounding is clamped so a wall
     never crosses its neighbors.
     """
-    p = list(positions)
     n = len(p) - 1
     c_per_bin = count / n
     c_target = (count + 1.0) / n
@@ -86,19 +87,75 @@ def update_percentiles(positions: list[float], x: float, count: int) -> list[flo
 
     if x > p[n]:
         p[n] = x
+
+
+def _sweep_left(p: list[float], x: float, count: int) -> None:
+    """The same update applied right-to-left to ``p``, in place.
+
+    This is :func:`_sweep_right` run on the negated, reversed positions
+    and mirrored back, written out on the original axis: wall ``i`` is
+    visited from ``n - 1`` down to 1, widths are ``p[i] - p[i - 1]`` and
+    a wall moves by ``-delta / density``. IEEE negation is exact and
+    round-to-nearest is symmetric in sign, so every wall is the same
+    float as the mirrored form's, up to the sign of an exact zero.
+    """
+    n = len(p) - 1
+    c_per_bin = count / n
+    c_target = (count + 1.0) / n
+
+    c_this = c_per_bin
+    if x > p[n]:
+        p[n] = x
+    if x > p[n - 1]:
+        c_this += 1.0
+
+    for i in range(n - 1, 0, -1):
+        delta = c_target - c_this
+        right = p[i]
+        if delta > 0.0:
+            left = p[i - 1]
+            width = right - left
+            if width <= 0.0:
+                c_this = c_per_bin + (1.0 if x > left else 0.0)
+                continue
+            count_next = c_per_bin + 1.0 if x > left else c_per_bin
+            density = count_next / width
+            moved = right - delta / density
+            if moved < left:
+                moved = left
+            p[i] = moved
+            c_this = density * (moved - left)
+        else:
+            following = p[i + 1]
+            width = following - right
+            if width <= 0.0:
+                c_this = c_per_bin - delta
+                continue
+            density = c_this / width
+            moved = right - delta / density
+            if moved > following:
+                moved = following
+            p[i] = moved
+            c_this = c_per_bin - delta
+
+    if x < p[0]:
+        p[0] = x
+
+
+def update_percentiles(positions: list[float], x: float, count: int) -> list[float]:
+    """One left-to-right wall update (:func:`_sweep_right`) on a copy;
+    returns the new positions and leaves the input untouched."""
+    p = list(positions)
+    _sweep_right(p, x, count)
     return p
 
 
 def update_percentiles_reversed(positions: list[float], x: float, count: int) -> list[float]:
-    """The same update applied right-to-left.
-
-    Runs the left-to-right sweep on the negated, reversed positions and
-    mirrors the result back, which is exactly a right-to-left pass over
-    the original axis.
-    """
-    mirrored = [-v for v in reversed(positions)]
-    updated = update_percentiles(mirrored, -x, count)
-    return [-v for v in reversed(updated)]
+    """One right-to-left wall update (:func:`_sweep_left`) on a copy;
+    returns the new positions and leaves the input untouched."""
+    p = list(positions)
+    _sweep_left(p, x, count)
+    return p
 
 
 def wall_rank(positions: list[float], i: int, beta: float) -> float:
@@ -163,7 +220,7 @@ class PercentileSketch:
             return
 
     def consume(self, x: float) -> None:
-        """Feed one value; the whole wall vector updates in one pass."""
+        """Feed one value; the walls update in place in one pass."""
         x = float(x)
         if not math.isfinite(x):
             raise ValueError(f"rejected value {x!r}: must be finite")
@@ -173,9 +230,9 @@ class PercentileSketch:
             return
 
         if self._rng.random() < 0.5:
-            self.positions = update_percentiles(self.positions, x, self.count)
+            _sweep_right(self.positions, x, self.count)
         else:
-            self.positions = update_percentiles_reversed(self.positions, x, self.count)
+            _sweep_left(self.positions, x, self.count)
         self.count += 1
 
     def percentile(self, q: float) -> float:

@@ -161,6 +161,17 @@ class TestMonitorRun:
         assert doc["windows"]["t_size"] == 150
         assert doc["windows"]["r_size"] == 400
 
+    def test_validation_curve_starts_at_the_signal(self, workspace):
+        # The run sets monitor.bin_count = 10; the curve must use it too.
+        _, _, _, manifest = workspace
+        assert manifest["alarms"]
+        for alarm in manifest["alarms"]:
+            paths = manifest["outputs"]["reports"][str(alarm["alarm"])]
+            curve = json.loads(Path(paths["json"]).read_text())["validation_curve"]
+            assert curve["k_values"][0] == 0
+            assert curve["ranked_jsd"][0] == alarm["signal"]
+            assert curve["random_jsd"][0] == alarm["signal"]
+
     def test_valleys_are_spaced_and_quiet(self, workspace):
         _, _, run_dir, manifest = workspace
         valleys = manifest["valleys"]
@@ -279,9 +290,22 @@ class TestExitCodes:
              "unknown config key"),
             ("monitor.n_r = 400\nmonitor.n_t = 150\nmonitor.direction_policy = random\n",
              "unknown config key"),
+            ("monitor.n_r = 400\nmonitor.n_t = 150\nmonitor.bin_count = 0\n", "bin_count"),
+            ("monitor.n_r = 400\nmonitor.n_t = 150\nmonitor.bin_count = -1\n", "bin_count"),
+            ("monitor.n_r = 400\nmonitor.n_t = 150\nreport.validation_step = 0\n",
+             "validation_step"),
+            ("monitor.n_r = 400\nmonitor.n_t = 150\nreport.validation_max_k = -5\n",
+             "validation_max_k"),
+            ("monitor.n_r = 400\nmonitor.n_t = 150\nreport.validation_max_k = 150\n",
+             "validation_max_k"),
+            ("monitor.n_r = 400\nmonitor.n_t = 150\nreport.top_events = -1\n", "top_events"),
+            ("monitor.n_r = 400\nmonitor.n_t = 150\nreport.top_importances = -1\n",
+             "top_importances"),
         ],
         ids=["cv_folds_1", "cv_folds_0", "n_t_1", "n_r_1", "report_workers",
-             "direction_policy"],
+             "direction_policy", "bin_count_0", "bin_count_negative", "validation_step_0",
+             "validation_max_k_negative", "validation_max_k_n_t", "top_events_negative",
+             "top_importances_negative"],
     )
     def test_setting_that_breaks_reports_is_a_config_error(
         self, workspace, tmp_path, capsys, settings, message

@@ -36,6 +36,33 @@ class TestUpdatePercentiles:
         update_percentiles(positions, 6.0, 3)
         assert positions == [0.0, 5.0, 10.0]
 
+    def test_reversed_input_not_mutated(self):
+        positions = [0.0, 5.0, 10.0]
+        update_percentiles_reversed(positions, 4.0, 3)
+        assert positions == [0.0, 5.0, 10.0]
+
+    def test_reversed_equals_mirrored_forward_exactly(self):
+        # The right-to-left sweep is written on the original axis; it must
+        # give the very floats of the forward sweep run on the negated,
+        # reversed walls, also on tied walls and values that hit a wall.
+        rng = random.Random(12)
+        for _ in range(300):
+            n = rng.choice([2, 3, 5, 20])
+            if rng.random() < 0.5:
+                grid = [-1.0, 0.0, 0.25, 0.5, 2.0]
+                positions = sorted(rng.choice(grid) for _ in range(n + 1))
+            else:
+                positions = sorted(rng.gauss(0, 1) for _ in range(n + 1))
+            for count in range(n + 1, n + 40):
+                x = rng.choice(positions) if rng.random() < 0.3 else rng.gauss(0, 1.5)
+                mirrored = [-v for v in reversed(positions)]
+                expected = [
+                    -v for v in reversed(update_percentiles(mirrored, -x, count))
+                ]
+                actual = update_percentiles_reversed(positions, x, count)
+                assert actual == expected
+                positions = actual
+
     def test_walls_stay_sorted_on_random_updates(self):
         rng = random.Random(3)
         positions = sorted(rng.random() for _ in range(6))
