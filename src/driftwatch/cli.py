@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import bisect
 import hashlib
-import heapq
 import json
 import math
 import sys
@@ -26,7 +25,7 @@ from pathlib import Path
 from typing import Iterable, TextIO
 
 from .explain import ReportConfig, build_report, time_correlation_filter
-from .monitor import Monitor, MonitorConfig, SignalPoint
+from .monitor import Monitor, MonitorConfig
 from .report import write_report_files
 from .stream_model import FeatureSchema, SchemaError, StreamError, read_stream
 from .synthetic import spec_from_json, write_outputs
@@ -44,17 +43,6 @@ class CliError(Exception):
     def __init__(self, message: str, exit_code: int):
         super().__init__(message)
         self.exit_code = exit_code
-
-
-@dataclass
-class RunnerConfig:
-    """Knobs owned by the CLI layer rather than the monitor itself."""
-
-    valley_count: int = 5
-
-    def __post_init__(self):
-        if self.valley_count < 0:
-            raise ConfigError("monitor.valley_count must be non-negative")
 
 
 @dataclass
@@ -115,8 +103,8 @@ _MONITOR_FIELDS = {
     "refractory_events": int,
     "min_signal_samples": int,
     "valley_percentile": float,
+    "valley_count": int,
 }
-_RUNNER_FIELDS = {"valley_count": int}
 _REPORT_FIELDS = {
     "cv_folds": int,
     "top_events": int,
@@ -126,7 +114,7 @@ _REPORT_FIELDS = {
 }
 
 
-def load_run_config(path: str) -> tuple[MonitorConfig, ReportConfig, RunnerConfig, dict]:
+def load_run_config(path: str) -> tuple[MonitorConfig, ReportConfig, dict]:
     """Parse the flat config file; returns configs plus the resolved echo dict."""
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -136,14 +124,11 @@ def load_run_config(path: str) -> tuple[MonitorConfig, ReportConfig, RunnerConfi
 
     monitor_kwargs: dict = {}
     report_kwargs: dict = {}
-    runner_kwargs: dict = {}
     for key, value in raw.items():
         section, _, name = key.partition(".")
         try:
             if section == "monitor" and name in _MONITOR_FIELDS:
                 monitor_kwargs[name] = _MONITOR_FIELDS[name](value)
-            elif section == "monitor" and name in _RUNNER_FIELDS:
-                runner_kwargs[name] = _RUNNER_FIELDS[name](value)
             elif section == "report" and name in _REPORT_FIELDS:
                 report_kwargs[name] = _REPORT_FIELDS[name](value)
             else:
@@ -157,7 +142,6 @@ def load_run_config(path: str) -> tuple[MonitorConfig, ReportConfig, RunnerConfi
     try:
         monitor_config = MonitorConfig(**monitor_kwargs)
         report_config = ReportConfig(bin_count=monitor_config.bin_count, **report_kwargs)
-        runner_config = RunnerConfig(**runner_kwargs)
     except ConfigError as exc:
         raise CliError(str(exc), EXIT_CONFIG) from exc
     if monitor_config.n_r < 2 or monitor_config.n_t < 2:
@@ -170,13 +154,10 @@ def load_run_config(path: str) -> tuple[MonitorConfig, ReportConfig, RunnerConfi
         raise CliError("report.validation_max_k must be less than monitor.n_t", EXIT_CONFIG)
 
     echo = {
-        "monitor": {
-            **{name: getattr(monitor_config, name) for name in _MONITOR_FIELDS},
-            "valley_count": runner_config.valley_count,
-        },
+        "monitor": {name: getattr(monitor_config, name) for name in _MONITOR_FIELDS},
         "report": {name: getattr(report_config, name) for name in _REPORT_FIELDS},
     }
-    return monitor_config, report_config, runner_config, echo
+    return monitor_config, report_config, echo
 
 
 def _load_schema(path: str) -> FeatureSchema:
@@ -206,62 +187,9 @@ def _sorted_percentile(values: list[float], q: float) -> float:
     return values[low] * (1.0 - frac) + values[high] * frac
 
 
-class ValleyCollector:
-    """Streaming pick of the lowest well-spaced signal valleys.
-
-    Keeps a bounded pool of the lowest-valued local minima that were
-    flagged as valley candidates at emission time, then resolves spacing
-    greedily at the end of the run. Constant memory, unlike the offline
-    ``select_valleys``, which needs the whole series.
-    """
-
-    def __init__(self, count: int, min_spacing: int, pool_size: int = 4096):
-        self.count = count
-        self.min_spacing = min_spacing
-        self.pool_size = max(pool_size, count * 8)
-        self._heap: list[tuple[float, int]] = []
-        self._before_previous: float | None = None
-        self._previous: SignalPoint | None = None
-
-    def observe(self, point: SignalPoint) -> None:
-        if self.count == 0:
-            return
-        previous = self._previous
-        if previous is not None:
-            left = self._before_previous
-            if (left is None or previous.signal <= left) \
-                    and previous.signal <= point.signal:
-                self._offer(previous)
-            self._before_previous = previous.signal
-        self._previous = point
-
-    def _offer(self, point: SignalPoint) -> None:
-        if not point.is_valley_candidate:
-            return
-        # Max-heap by value via negation, so the worst candidate pops first.
-        heapq.heappush(self._heap, (-point.signal, -point.event_index))
-        if len(self._heap) > self.pool_size:
-            heapq.heappop(self._heap)
-
-    def finalize(self) -> list[int]:
-        previous = self._previous
-        if previous is not None:
-            left = self._before_previous
-            if left is None or previous.signal <= left:
-                self._offer(previous)
-        candidates = sorted((-v, -i) for v, i in self._heap)
-        accepted: list[int] = []
-        for _, index in candidates:
-            if all(abs(index - taken) >= self.min_spacing for taken in accepted):
-                accepted.append(index)
-                if len(accepted) == self.count:
-                    break
-        return accepted
-
-
 def cmd_monitor(args) -> int:
     schema = _load_schema(args.schema)
-    monitor_config, report_config, runner_config, echo = load_run_config(args.config)
+    monitor_config, report_config, echo = load_run_config(args.config)
     input_path = Path(args.input)
     if not input_path.is_file():
         raise CliError(f"cannot read input: {input_path}", EXIT_INPUT)
@@ -271,7 +199,6 @@ def cmd_monitor(args) -> int:
     monitor = Monitor(monitor_config, seed=args.seed)
     digest = _sha256_of(input_path)
     signal_path = out_dir / SIGNAL_FILE
-    valleys = ValleyCollector(runner_config.valley_count, monitor_config.n_t)
     landmark_values: list[float] | None = [] if args.debug_landmark else None
 
     shared_filter = None
@@ -305,7 +232,6 @@ def cmd_monitor(args) -> int:
                         )
                         row += f",{landmark!r}"
                     sink.write(row + "\n")
-                    valleys.observe(point)
                 if landmark_values is not None and monitor.windows.warmed_up:
                     bisect.insort(landmark_values, monitor.signal_state.value())
                 if trigger is not None:
@@ -318,8 +244,8 @@ def cmd_monitor(args) -> int:
                             confidence=report_config.mic_confidence,
                         )
                     report = build_report(
-                        trigger.with_filter(shared_filter), schema, report_config,
-                        seed=[args.seed, trigger.alarm_index],
+                        trigger, schema, report_config,
+                        seed=[args.seed, trigger.alarm_index], filter_result=shared_filter,
                     )
                     paths = write_report_files(
                         report, out_dir, f"alarm_{trigger.alarm_index:04d}"
@@ -342,7 +268,7 @@ def cmd_monitor(args) -> int:
     if events_seen == 0:
         raise CliError("empty stream: no events", EXIT_INPUT)
 
-    valley_indices = valleys.finalize()
+    valley_indices = monitor.valleys()
     manifest = RunManifest(
         config=echo,
         input_digest=digest,

@@ -193,6 +193,16 @@ def _categorical_series(events, feature_index):
                     dtype=np.float64)
 
 
+def _check_arity(events, schema: FeatureSchema) -> None:
+    """Raise ``ValueError`` unless every event has one feature per schema column."""
+    for event in events:
+        if len(event.features) != schema.arity:
+            raise ValueError(
+                f"event at timestamp {event.timestamp} has {len(event.features)} "
+                f"features; the schema has {schema.arity}"
+            )
+
+
 def time_correlation_filter(
     burn_in_events: list[Event],
     schema: FeatureSchema,
@@ -211,6 +221,7 @@ def time_correlation_filter(
     """
     if len(burn_in_events) == 0:
         raise ValueError("empty burn-in")
+    _check_arity(burn_in_events, schema)
     picked = burn_in_sample_indices(len(burn_in_events), sample_size)
     if len(picked) < sample_size:
         warnings.warn(
@@ -274,6 +285,7 @@ def encode(
     warnings.
     """
     events = list(r_events) + list(t_events)
+    _check_arity(events, schema)
     removed = set(filter_result.removed_names())
     kept = [
         (index, spec)
@@ -417,16 +429,15 @@ def _display_cell(event: Event, column: str, schema: FeatureSchema) -> str:
 
 
 def build_report(trigger, schema: FeatureSchema, config: ReportConfig | None = None,
-                 seed=0) -> AlarmReport:
+                 seed=0, filter_result: MicFilterResult | None = None) -> AlarmReport:
     """Assemble the full explanation for one alarm trigger.
 
-    Uses the trigger's attached burn-in filter result, computing it from
-    the raw burn-in sample only when absent. All randomness (filter
-    shuffles, validation removals, CV folds) derives from the seed.
+    Uses the given burn-in filter result, computing it from the trigger's
+    raw burn-in sample only when absent. All randomness (filter shuffles,
+    validation removals, CV folds) derives from the seed.
     """
     config = config or ReportConfig()
     seeds = _seed_list(seed)
-    filter_result = trigger.filter_result
     if filter_result is None:
         filter_result = time_correlation_filter(
             list(trigger.burn_in_sample), schema, seed=seeds + [0],

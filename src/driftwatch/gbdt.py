@@ -380,18 +380,6 @@ def _node_to_dict(node: TreeNode) -> dict:
     }
 
 
-def _node_from_dict(doc: dict) -> TreeNode:
-    if "feature" not in doc:
-        return TreeNode(value=float(doc["value"]))
-    return TreeNode(
-        feature=int(doc["feature"]),
-        threshold=float(doc["threshold"]),
-        gain=float(doc["gain"]),
-        left=_node_from_dict(doc["left"]),
-        right=_node_from_dict(doc["right"]),
-    )
-
-
 def ensemble_to_json(model: TreeEnsemble) -> str:
     return json.dumps(
         {
@@ -405,16 +393,3 @@ def ensemble_to_json(model: TreeEnsemble) -> str:
         }
     )
 
-
-def ensemble_from_json(text: str) -> TreeEnsemble:
-    doc = json.loads(text)
-    return TreeEnsemble(
-        float(doc["initial_score"]),
-        [_node_from_dict(t) for t in doc["trees"]],
-        float(doc["learning_rate"]),
-        list(doc["column_names"]),
-        np.asarray(doc["importance"], dtype=np.float64),
-        [float(v) for v in doc["train_losses"]],
-        [],
-        bool(doc["degenerate"]),
-    )

@@ -5,22 +5,26 @@ and produces a signal value. The percentile sketch turns the signal
 stream into an adaptive alarm threshold; crucially the threshold is read
 before the new signal value enters the sketch, so an outlier cannot
 raise the bar against itself. Alarms snapshot both windows for the
-explanation pipeline and then go quiet for a refractory period.
+explanation pipeline and then go quiet for a refractory period. Each
+emitted point also enters a bounded pool of the signal's lowest local
+minima, from which :meth:`Monitor.valleys` picks quiet control points.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import heapq
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .divergence import IncrementalSignal
 from .spear import PercentileSketch
-from .stream_model import Event, check_score
+from .stream_model import Event, check_score, check_timestamp
 from .windows import ConfigError, WindowPair
 
 BURN_IN_SAMPLE_SIZE = 1000
+VALLEY_POOL_SIZE = 4096
 
 
 @dataclass(frozen=True)
@@ -30,16 +34,11 @@ class SignalPoint:
     signal: float
     threshold: float
     is_alarm: bool
-    is_valley_candidate: bool
 
 
 @dataclass(frozen=True)
 class AlarmTrigger:
-    """Everything the explainer needs, frozen at trigger time.
-
-    ``filter_result`` starts as None; the layer that owns the feature
-    schema attaches the burn-in filter before building the report.
-    """
+    """Everything the explainer needs, frozen at trigger time."""
 
     alarm_index: int
     event_index: int
@@ -49,10 +48,6 @@ class AlarmTrigger:
     r_snapshot: tuple[Event, ...]
     t_snapshot: tuple[Event, ...]
     burn_in_sample: tuple[Event, ...]
-    filter_result: object = None
-
-    def with_filter(self, filter_result) -> "AlarmTrigger":
-        return replace(self, filter_result=filter_result)
 
 
 @dataclass
@@ -65,6 +60,7 @@ class MonitorConfig:
     refractory_events: int | None = None
     min_signal_samples: int | None = None
     valley_percentile: float = 10.0
+    valley_count: int = 5
 
     def __post_init__(self):
         if self.n_r < 1 or self.n_t < 1:
@@ -75,6 +71,8 @@ class MonitorConfig:
             raise ConfigError("threshold_percentile must lie strictly inside (0, 100)")
         if not 0.0 < self.valley_percentile < 100.0:
             raise ConfigError("valley_percentile must lie strictly inside (0, 100)")
+        if self.valley_count < 0:
+            raise ConfigError("valley_count must be non-negative")
         if self.sketch_bins < 2:
             raise ConfigError("sketch_bins must be at least 2")
         if self.refractory_events is None:
@@ -112,6 +110,8 @@ class Monitor:
         self.signal_samples = 0
         self.alarm_count = 0
         self.last_alarm_index: int | None = None
+        self.last_timestamp: int | None = None
+        self.valley_pool = ValleyPool(max(VALLEY_POOL_SIZE, 8 * config.valley_count))
         self._burn_in_sample: list[Event] = []
         self._capture_indices = burn_in_sample_indices(
             config.burn_in_events, BURN_IN_SAMPLE_SIZE
@@ -141,9 +141,11 @@ class Monitor:
     def step(self, event: Event) -> tuple[SignalPoint | None, AlarmTrigger | None]:
         """Consume one event; maybe emit a signal point and an alarm.
 
-        A score the stream readers would reject raises before any state changes.
+        A score or timestamp the stream readers would reject raises
+        before any state changes.
         """
         check_score(event.score)
+        check_timestamp(event.timestamp, self.last_timestamp)
         index = self.events_seen
         if (
             self._next_capture < len(self._capture_indices)
@@ -161,12 +163,9 @@ class Monitor:
             value = self.signal_state.value()
             if self.signal_samples >= self.config.signal_samples_before_emission:
                 threshold = self.sketch.percentile(self.config.threshold_percentile)
-                valley_level = self.sketch.percentile(self.config.valley_percentile)
                 is_alarm = value > threshold
-                point = SignalPoint(
-                    index, event.timestamp, value, threshold,
-                    is_alarm, value <= valley_level,
-                )
+                point = SignalPoint(index, event.timestamp, value, threshold, is_alarm)
+                self.valley_pool.observe(point)
                 if is_alarm and self._past_refractory(index):
                     r_snap, t_snap = self.windows.snapshot()
                     trigger = AlarmTrigger(
@@ -180,8 +179,21 @@ class Monitor:
 
         if index in self._requested_snapshots:
             self._requested_snapshots[index] = self.windows.snapshot()
+        self.last_timestamp = event.timestamp
         self.events_seen += 1
         return point, trigger
+
+    def valleys(self) -> list[int]:
+        """Event indices of up to ``valley_count`` signal valleys so far.
+
+        The cutoff is the sketch's ``valley_percentile`` of every signal
+        value consumed, read now; see :meth:`ValleyPool.select` for the
+        rest of the rule. Reads state only, so repeated calls agree.
+        """
+        if not self.sketch.initialized:
+            return []
+        cutoff = self.sketch.percentile(self.config.valley_percentile)
+        return self.valley_pool.select(self.config.valley_count, self.config.n_t, cutoff)
 
     def _past_refractory(self, index: int) -> bool:
         if self.last_alarm_index is None:
@@ -196,40 +208,74 @@ def burn_in_sample_indices(total: int, sample_size: int) -> np.ndarray:
     return np.round(np.linspace(0, total - 1, sample_size)).astype(np.int64)
 
 
+class ValleyPool:
+    """Bounded pool of the lowest local minima of a signal series.
+
+    A point is a local minimum when it is no higher than either
+    neighbour, so plateaus qualify; the first and last points need only
+    their one neighbour. Only ``size`` minima are kept: a full pool drops
+    its highest, the latest first among equal values. The last point
+    observed is judged when the next arrives, or provisionally by
+    :meth:`select`.
+    """
+
+    def __init__(self, size: int):
+        self.size = size
+        # (-signal, -event_index), so the heap's root is the minimum to drop.
+        self._heap: list[tuple[float, int]] = []
+        self._before_last: float | None = None
+        self._last: tuple[float, int] | None = None
+
+    def observe(self, point: SignalPoint) -> None:
+        last = self._last
+        if last is not None:
+            if self._left_ok() and last[0] <= point.signal:
+                heapq.heappush(self._heap, (-last[0], -last[1]))
+                if len(self._heap) > self.size:
+                    heapq.heappop(self._heap)
+            self._before_last = last[0]
+        self._last = (point.signal, point.event_index)
+
+    def _left_ok(self) -> bool:
+        return self._before_last is None or self._last[0] <= self._before_last
+
+    def select(self, count: int, min_spacing: int, cutoff: float) -> list[int]:
+        """Event indices of up to ``count`` pooled minima at or below ``cutoff``.
+
+        Minima are taken lowest signal first, ties to the earliest event,
+        each at least ``min_spacing`` events from every one taken before.
+        """
+        if count <= 0 or self._last is None:
+            return []
+        candidates = [(-value, -index) for value, index in self._heap]
+        if self._left_ok():
+            candidates.append(self._last)
+        accepted: list[int] = []
+        for value, index in sorted(candidates)[: self.size]:
+            if value > cutoff:
+                break
+            if all(abs(index - taken) >= min_spacing for taken in accepted):
+                accepted.append(index)
+                if len(accepted) == count:
+                    break
+        return accepted
+
+
 def select_valleys(
     series: Sequence[SignalPoint],
     count: int,
     min_spacing: int,
     valley_percentile: float = 10.0,
 ) -> list[int]:
-    """Event indices of signal valleys, lowest signal first.
+    """Valleys of a whole in-memory series, by the rule of :meth:`Monitor.valleys`.
 
-    A valley is a local minimum (non-strict, so plateaus qualify) whose
-    value is at or below the given percentile of all observed signal
-    values. Accepted valleys are at least ``min_spacing`` events apart;
-    candidates are taken lowest-value first with ties going to the
-    earliest event.
+    The pool holds every local minimum and the cutoff is the exact
+    ``valley_percentile`` of all the series' signal values.
     """
-    if count <= 0 or not series:
+    if not series:
         return []
-    values = np.array([p.signal for p in series], dtype=np.float64)
-    indices = np.array([p.event_index for p in series], dtype=np.int64)
-    cutoff = float(np.percentile(values, valley_percentile))
-
-    left_ok = np.empty(len(values), dtype=bool)
-    right_ok = np.empty(len(values), dtype=bool)
-    left_ok[0] = True
-    left_ok[1:] = values[1:] <= values[:-1]
-    right_ok[-1] = True
-    right_ok[:-1] = values[:-1] <= values[1:]
-    eligible = left_ok & right_ok & (values <= cutoff)
-
-    order = sorted(np.nonzero(eligible)[0], key=lambda i: (values[i], indices[i]))
-    accepted: list[int] = []
-    for i in order:
-        candidate = int(indices[i])
-        if all(abs(candidate - taken) >= min_spacing for taken in accepted):
-            accepted.append(candidate)
-            if len(accepted) == count:
-                break
-    return accepted
+    pool = ValleyPool(len(series))
+    for point in series:
+        pool.observe(point)
+    cutoff = float(np.percentile([p.signal for p in series], valley_percentile))
+    return pool.select(count, min_spacing, cutoff)

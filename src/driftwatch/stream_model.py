@@ -142,25 +142,34 @@ def _parse_numeric_cell(cell: str, line_number: int, name: str) -> FeatureValue:
         raise StreamError(f"bad numeric value {cell!r} for {name!r}", line_number) from exc
 
 
+def check_timestamp(ts: int, previous: int | None, line_number: int | None = None) -> None:
+    """Raise :class:`TimestampOrderError` if ``ts`` decreases below ``previous``."""
+    if previous is not None and ts < previous:
+        raise TimestampOrderError(f"timestamp {ts} decreases below {previous}", line_number)
+
+
 def _parse_timestamp(raw, line_number: int, previous: int | None) -> int:
     try:
         ts = int(raw)
     except (ValueError, TypeError) as exc:
         raise StreamError(f"bad timestamp {raw!r}", line_number) from exc
-    if previous is not None and ts < previous:
-        raise TimestampOrderError(f"timestamp {ts} decreases below {previous}", line_number)
+    check_timestamp(ts, previous, line_number)
     return ts
 
 
 def check_score(score: float, line_number: int | None = None) -> None:
-    """Raise :class:`ScoreRangeError` unless the score is finite and in [0, 1]."""
-    if not math.isfinite(score) or not 0.0 <= score <= 1.0:
+    """Raise :class:`ScoreRangeError` unless the score is a finite number in [0, 1].
+
+    A bool is not a score, although Python would compare it as 0 or 1.
+    """
+    if isinstance(score, bool) or not math.isfinite(score) or not 0.0 <= score <= 1.0:
         raise ScoreRangeError(f"score {score} outside [0, 1]", line_number)
 
 
 def _parse_score(raw, line_number: int) -> float:
     try:
-        score = float(raw)
+        # A JSON true stays a bool, so check_score refuses it.
+        score = raw if isinstance(raw, bool) else float(raw)
     except (ValueError, TypeError) as exc:
         raise StreamError(f"bad score {raw!r}", line_number) from exc
     check_score(score, line_number)

@@ -18,11 +18,9 @@ from driftwatch.cli import (
     EXIT_OK,
     MANIFEST_FILE,
     SIGNAL_FILE,
-    ValleyCollector,
     _sorted_percentile,
     main,
 )
-from driftwatch.monitor import SignalPoint
 from driftwatch.stream_model import read_stream
 
 BASE_SPEC = {
@@ -476,48 +474,6 @@ class TestConstantMemory:
         small_peak = peak_of(small, "run_small")
         big_peak = peak_of(big, "run_big")
         assert big_peak < 2 * small_peak
-
-
-def _points(values, start=0):
-    return [SignalPoint(start + i, start + i, float(v), 1.0, False, True)
-            for i, v in enumerate(values)]
-
-
-class TestValleyCollector:
-    def feed(self, collector, points):
-        for point in points:
-            collector.observe(point)
-        return collector.finalize()
-
-    def test_matches_offline_selection_on_a_flat_series(self):
-        picked = self.feed(ValleyCollector(3, 10), _points([0.0] * 40))
-        assert picked == [0, 10, 20]
-
-    def test_finds_the_bottom_of_a_v(self):
-        values = [5, 4, 3, 2, 1, 0.5, 1, 2, 3, 4, 5]
-        picked = self.feed(ValleyCollector(1, 2), _points(values))
-        assert picked == [5]
-
-    def test_last_point_of_a_descending_series_is_eligible(self):
-        picked = self.feed(ValleyCollector(1, 1), _points([5, 4, 3, 2, 1]))
-        assert picked == [4]
-
-    def test_respects_candidate_flag(self):
-        points = [
-            SignalPoint(i, i, v, 1.0, False, flag)
-            for i, (v, flag) in enumerate([(3.0, True), (1.0, False), (3.0, True)])
-        ]
-        assert self.feed(ValleyCollector(2, 1), points) == []
-
-    def test_pool_stays_bounded(self):
-        collector = ValleyCollector(2, 1, pool_size=16)
-        self_points = _points([0.0] * 5000)
-        for point in self_points:
-            collector.observe(point)
-        assert len(collector._heap) <= 16
-
-    def test_zero_count_collects_nothing(self):
-        assert self.feed(ValleyCollector(0, 10), _points([0.0] * 30)) == []
 
 
 class TestSortedPercentile:

@@ -421,10 +421,19 @@ class TestBuildReport:
             again = build_report(trigger, schema, seed=4)
         assert json.dumps(to_json_dict(again)) == json.dumps(to_json_dict(report))
 
+    def test_events_narrower_than_the_schema_rejected(self):
+        schema = schema_of(("amount", NUMERIC), ("channel", CATEGORICAL))
+        events = tuple(Event(i, 0.5, (float(i),)) for i in range(40))
+        trigger = AlarmTrigger(0, 39, 39, 0.4, 0.2, events[:30], events[30:], events)
+        with pytest.raises(ValueError, match="has 1 features; the schema has 2"):
+            build_report(trigger, schema, seed=0)
+        with pytest.raises(ValueError, match="has 1 features; the schema has 2"):
+            encode(events[:30], events[30:], schema, _passthrough_filter(schema))
+
     def test_attached_filter_result_is_reused_verbatim(self):
         trigger, schema = _report_trigger()
         filt = _passthrough_filter(schema)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            built = build_report(trigger.with_filter(filt), schema, seed=4)
+            built = build_report(trigger, schema, seed=4, filter_result=filt)
         assert built.filter_result is filt

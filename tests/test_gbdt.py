@@ -254,13 +254,3 @@ class TestKfold:
         b = gbdt.kfold_auc(data, k=4, seed=9)
         assert a.fold_aucs == b.fold_aucs
 
-
-class TestSerialization:
-    def test_round_trip_predictions_identical(self):
-        data = step_problem(seed=6)
-        model = gbdt.fit(data)
-        restored = gbdt.ensemble_from_json(gbdt.ensemble_to_json(model))
-        assert np.array_equal(
-            gbdt.predict_raw(model, data.x), gbdt.predict_raw(restored, data.x)
-        )
-        assert restored.column_names == model.column_names

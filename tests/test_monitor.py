@@ -15,7 +15,8 @@ from driftwatch import (
     SignalPoint,
     select_valleys,
 )
-from driftwatch.stream_model import ScoreRangeError
+from driftwatch.monitor import ValleyPool
+from driftwatch.stream_model import ScoreRangeError, TimestampOrderError
 from driftwatch.windows import ConfigError
 
 from helpers import score_events, tiny_monitor_config
@@ -58,6 +59,7 @@ class TestConfig:
             dict(valley_percentile=0.0),
             dict(sketch_bins=1),
             dict(refractory_events=0),
+            dict(valley_count=-1),
         ],
     )
     def test_bad_settings_rejected(self, overrides):
@@ -99,6 +101,7 @@ class TestThresholdDiscipline:
         # A reference sketch fed the same signal values one step behind
         # must reproduce every emitted threshold bit for bit: the new
         # signal value may not enter the sketch before the comparison.
+        # The valley level is read once, after the last value entered.
         config = MonitorConfig(
             n_r=150, n_t=60, bin_count=10, sketch_bins=20, min_signal_samples=200
         )
@@ -112,12 +115,13 @@ class TestThresholdDiscipline:
                 emitted += 1
                 assert point.threshold == reference.percentile(config.threshold_percentile)
                 assert point.is_alarm == (point.signal > point.threshold)
-                assert point.is_valley_candidate == (
-                    point.signal <= reference.percentile(config.valley_percentile)
-                )
             if monitor.windows.warmed_up:
                 reference.consume(monitor.signal_state.value())
         assert emitted > 2000
+        valley_level = reference.percentile(config.valley_percentile)
+        assert monitor.valleys() == monitor.valley_pool.select(
+            config.valley_count, config.n_t, valley_level
+        )
 
     def test_raising_the_percentile_only_removes_alarms(self):
         scores = np.random.default_rng(9).uniform(0, 1, 4000)
@@ -273,7 +277,7 @@ class TestBurnInSample:
 
 def constant_series(value, count, start_index=0):
     return [
-        SignalPoint(start_index + i, start_index + i, value, 1.0, False, True)
+        SignalPoint(start_index + i, start_index + i, value, 1.0, False)
         for i in range(count)
     ]
 
@@ -285,13 +289,13 @@ class TestSelectValleys:
 
     def test_v_shape_picks_the_bottom(self):
         values = [5, 4, 3, 2, 1, 0.5, 1, 2, 3, 4, 5]
-        series = [SignalPoint(i, i, float(v), 10.0, False, True) for i, v in enumerate(values)]
+        series = [SignalPoint(i, i, float(v), 10.0, False) for i, v in enumerate(values)]
         assert select_valleys(series, 1, min_spacing=2) == [5]
 
     def test_only_the_low_decile_is_eligible(self):
         rng = np.random.default_rng(8)
         values = rng.uniform(0, 1, 500)
-        series = [SignalPoint(i, i, float(v), 1.0, False, True) for i, v in enumerate(values)]
+        series = [SignalPoint(i, i, float(v), 1.0, False) for i, v in enumerate(values)]
         cutoff = np.percentile(values, 10.0)
         picked = select_valleys(series, 20, min_spacing=5)
         assert picked
@@ -300,13 +304,13 @@ class TestSelectValleys:
 
     def test_plateau_counts_as_a_valley_and_ties_go_earliest(self):
         values = [3.0, 1.0, 1.0, 3.0, 3.0]
-        series = [SignalPoint(i, i, v, 10.0, False, True) for i, v in enumerate(values)]
+        series = [SignalPoint(i, i, v, 10.0, False) for i, v in enumerate(values)]
         assert select_valleys(series, 1, min_spacing=1, valley_percentile=50.0) == [1]
 
     def test_spacing_is_enforced_between_accepted_valleys(self):
         rng = np.random.default_rng(8)
         values = rng.uniform(0, 1, 800)
-        series = [SignalPoint(i, i, float(v), 1.0, False, True) for i, v in enumerate(values)]
+        series = [SignalPoint(i, i, float(v), 1.0, False) for i, v in enumerate(values)]
         picked = select_valleys(series, 10, min_spacing=50)
         assert len(picked) > 1
         ordered = sorted(picked)
@@ -323,9 +327,76 @@ class TestSelectValleys:
         assert select_valleys(series, 2, min_spacing=10) == [500, 510]
 
 
+def _points(values, start=0):
+    return [SignalPoint(start + i, start + i, float(v), 1.0, False)
+            for i, v in enumerate(values)]
+
+
+class TestValleyPool:
+    def select(self, values, count, min_spacing, cutoff=1.0, size=4096):
+        pool = ValleyPool(size)
+        for point in _points(values):
+            pool.observe(point)
+        return pool.select(count, min_spacing, cutoff)
+
+    def test_matches_offline_selection_on_a_flat_series(self):
+        picked = self.select([0.0] * 40, 3, 10)
+        assert picked == [0, 10, 20]
+        assert picked == select_valleys(_points([0.0] * 40), 3, min_spacing=10)
+
+    def test_finds_the_bottom_of_a_v(self):
+        assert self.select([5, 4, 3, 2, 1, 0.5, 1, 2, 3, 4, 5], 1, 2) == [5]
+
+    def test_last_point_of_a_descending_series_is_eligible(self):
+        assert self.select([5, 4, 3, 2, 1], 1, 1) == [4]
+
+    def test_cutoff_is_applied_at_selection(self):
+        pool = ValleyPool(16)
+        for point in _points([3.0, 1.0, 3.0, 0.5, 3.0, 2.0]):
+            pool.observe(point)
+        assert pool.select(5, 1, cutoff=0.75) == [3]
+        assert pool.select(5, 1, cutoff=1.0) == [3, 1]
+        # Selecting changes nothing: the last point stays provisional.
+        assert pool.select(5, 1, cutoff=2.0) == [3, 1, 5]
+        assert pool.select(5, 1, cutoff=2.0) == [3, 1, 5]
+        # A lower next point ends the last one's claim and makes its own.
+        pool.observe(SignalPoint(6, 6, 1.5, 1.0, False))
+        assert pool.select(5, 1, cutoff=2.0) == [3, 1, 6]
+
+    def test_monitor_cuts_at_the_sketch_valley_level_at_the_end(self):
+        config = MonitorConfig(n_r=150, n_t=60, bin_count=10, sketch_bins=20,
+                               min_signal_samples=200, valley_count=4)
+        monitor, points, _ = run_monitor(
+            config, np.random.default_rng(11).uniform(0, 1, 3000), seed=2
+        )
+        picked = monitor.valleys()
+        assert picked == monitor.valleys()
+        assert 0 < len(picked) <= 4
+        level = monitor.sketch.percentile(config.valley_percentile)
+        signals = {p.event_index: p.signal for p in points}
+        assert all(signals[index] <= level for index in picked)
+        ordered = sorted(picked)
+        assert all(b - a >= config.n_t for a, b in zip(ordered, ordered[1:]))
+
+    def test_no_valleys_before_the_first_point(self):
+        monitor, points, _ = run_monitor(tiny_monitor_config(), [0.5] * 30)
+        assert points == [] and monitor.valleys() == []
+
+    def test_pool_stays_bounded(self):
+        pool = ValleyPool(16)
+        for point in _points([0.0] * 5000):
+            pool.observe(point)
+        assert len(pool._heap) <= 16
+        assert len(pool.select(100, 1, cutoff=0.0)) == 16
+
+    def test_zero_count_collects_nothing(self):
+        assert self.select([0.0] * 30, 0, 10) == []
+
+
 def monitor_state(monitor):
     """Everything ``Monitor.step`` can change, as comparable values."""
     signal = monitor.signal_state
+    pool = monitor.valley_pool
     return (
         list(monitor.windows.r_events),
         list(monitor.windows.t_events),
@@ -335,6 +406,7 @@ def monitor_state(monitor):
         monitor.sketch._rng.getstate(),
         monitor.events_seen, monitor.signal_samples, monitor.alarm_count,
         monitor.last_alarm_index, monitor.burn_in_sample, monitor._next_capture,
+        monitor.last_timestamp, list(pool._heap), pool._before_last, pool._last,
     )
 
 
@@ -346,6 +418,7 @@ class TestScoreValidation:
             st.just(math.nan), st.just(math.inf), st.just(-math.inf),
             st.floats(max_value=-1e-300, allow_infinity=False),
             st.floats(min_value=1.0, exclude_min=True, allow_nan=False, allow_infinity=False),
+            st.booleans(),
         ),
     )
     def test_rejected_score_leaves_state_unchanged(self, prefix, bad):
@@ -356,3 +429,25 @@ class TestScoreValidation:
         with pytest.raises(ScoreRangeError):
             monitor.step(Event(len(prefix), bad, ()))
         assert monitor_state(monitor) == before
+
+
+class TestTimestampValidation:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        prefix=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=160),
+        drop=st.integers(1, 10**6),
+    )
+    def test_decreasing_timestamp_leaves_state_unchanged(self, prefix, drop):
+        monitor = Monitor(tiny_monitor_config(), seed=3)
+        for i, score in enumerate(prefix):
+            monitor.step(Event(1000 + i, score, ()))
+        before = monitor_state(monitor)
+        with pytest.raises(TimestampOrderError):
+            monitor.step(Event(1000 + len(prefix) - 1 - drop, 0.5, ()))
+        assert monitor_state(monitor) == before
+
+    def test_equal_timestamps_allowed(self):
+        monitor = Monitor(tiny_monitor_config())
+        monitor.step(Event(100, 0.5, ()))
+        monitor.step(Event(100, 0.5, ()))
+        assert monitor.events_seen == 2

@@ -137,6 +137,12 @@ class TestJsonlReader:
         with pytest.raises(StreamError):
             list(read_jsonl_stream(io.StringIO('{"timestamp": 1}\n'), AMOUNT_CHANNEL))
 
+    def test_bool_score_rejected(self):
+        line = json.dumps({"timestamp": 1, "score": True, "amount": 1.0, "channel": "web"})
+        with pytest.raises(ScoreRangeError) as exc:
+            list(read_jsonl_stream(io.StringIO(line + "\n"), AMOUNT_CHANNEL))
+        assert exc.value.line_number == 1
+
     def test_extras_keys_carried(self):
         line = json.dumps(
             {"timestamp": 1, "score": 0.5, "amount": 2.0, "channel": "web",
