@@ -4,7 +4,7 @@ Exit codes: 0 success, 1 input error (unreadable or empty stream, unknown
 alarm id), 2 configuration error (missing schema, bad config value,
 overlapping drift segments). Configuration files are flat ``key = value``
 text with dotted section prefixes; every monitoring knob is exposed under
-``monitor.`` and report assembly under ``report.``.
+``monitor.`` and every report knob under ``report.``.
 
 The replay loop owns the monitor state and runs on one thread. Each alarm
 report is built and written synchronously at its trigger, before the next
@@ -20,9 +20,7 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, TextIO
 
 from .explain import ReportConfig, build_report, time_correlation_filter
 from .monitor import Monitor, MonitorConfig
@@ -43,39 +41,6 @@ class CliError(Exception):
     def __init__(self, message: str, exit_code: int):
         super().__init__(message)
         self.exit_code = exit_code
-
-
-@dataclass
-class RunManifest:
-    config: dict
-    input_digest: str
-    seed: int
-    outputs: dict
-    counts: dict
-    valleys: list[int] = field(default_factory=list)
-    alarms: list[dict] = field(default_factory=list)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "config": self.config,
-                "input_digest": self.input_digest,
-                "seed": self.seed,
-                "outputs": self.outputs,
-                "counts": self.counts,
-                "valleys": self.valleys,
-                "alarms": self.alarms,
-            },
-            indent=2,
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "RunManifest":
-        doc = json.loads(text)
-        return cls(
-            doc["config"], doc["input_digest"], doc["seed"],
-            doc["outputs"], doc["counts"], doc["valleys"], doc["alarms"],
-        )
 
 
 def _parse_config_lines(text: str) -> dict[str, str]:
@@ -141,7 +106,7 @@ def load_run_config(path: str) -> tuple[MonitorConfig, ReportConfig, dict]:
 
     try:
         monitor_config = MonitorConfig(**monitor_kwargs)
-        report_config = ReportConfig(bin_count=monitor_config.bin_count, **report_kwargs)
+        report_config = ReportConfig(**report_kwargs)
     except ConfigError as exc:
         raise CliError(str(exc), EXIT_CONFIG) from exc
     if monitor_config.n_r < 2 or monitor_config.n_t < 2:
@@ -237,11 +202,7 @@ def cmd_monitor(args) -> int:
                 if trigger is not None:
                     if shared_filter is None:
                         shared_filter = time_correlation_filter(
-                            list(monitor.burn_in_sample), schema,
-                            seed=[args.seed, 0],
-                            sample_size=report_config.mic_sample_size,
-                            alpha=report_config.mic_alpha,
-                            confidence=report_config.mic_confidence,
+                            monitor.burn_in_sample, schema, seed=[args.seed, 0]
                         )
                     report = build_report(
                         trigger, schema, report_config,
@@ -269,26 +230,27 @@ def cmd_monitor(args) -> int:
         raise CliError("empty stream: no events", EXIT_INPUT)
 
     valley_indices = monitor.valleys()
-    manifest = RunManifest(
-        config=echo,
-        input_digest=digest,
-        seed=args.seed,
-        outputs={
+    manifest = {
+        "config": echo,
+        "input_digest": digest,
+        "seed": args.seed,
+        "outputs": {
             "signal_csv": str(signal_path),
             "reports": {
                 str(alarm): paths for alarm, paths in sorted(report_paths.items())
             },
         },
-        counts={
+        "counts": {
             "events": events_seen,
             "signal_points": points_emitted,
             "alarms": len(alarm_summaries),
             "valleys": len(valley_indices),
         },
-        valleys=valley_indices,
-        alarms=alarm_summaries,
-    )
-    (out_dir / MANIFEST_FILE).write_text(manifest.to_json() + "\n", encoding="utf-8")
+        "valleys": valley_indices,
+        "alarms": alarm_summaries,
+    }
+    (out_dir / MANIFEST_FILE).write_text(json.dumps(manifest, indent=2) + "\n",
+                                         encoding="utf-8")
     return EXIT_OK
 
 
@@ -316,10 +278,10 @@ def cmd_generate(args) -> int:
 def cmd_report(args) -> int:
     manifest_path = Path(args.run) / MANIFEST_FILE
     try:
-        manifest = RunManifest.from_json(manifest_path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError, KeyError) as exc:
+        reports = json.loads(manifest_path.read_text(encoding="utf-8"))["outputs"]["reports"]
+    except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
         raise CliError(f"cannot read run manifest: {exc}", EXIT_INPUT) from exc
-    paths = manifest.outputs.get("reports", {}).get(str(args.alarm))
+    paths = reports.get(str(args.alarm))
     if paths is None:
         raise CliError(f"unknown alarm id: {args.alarm}", EXIT_INPUT)
     try:

@@ -12,13 +12,14 @@ from __future__ import annotations
 import math
 import warnings
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from . import gbdt
 from .divergence import ScoreHistogram, jsd
-from .monitor import burn_in_sample_indices
+from .monitor import BURN_IN_SAMPLE_SIZE, burn_in_sample_indices
 from .report import AlarmReport, RankedEventRow
 from .stream_model import (
     CATEGORICAL,
@@ -30,9 +31,8 @@ from .stream_model import (
 from .windows import ConfigError
 
 MIC_ESTIMATOR_NAME = "equi-frequency midrank grid search"
-DEFAULT_MIC_SAMPLE = 1000
-DEFAULT_SHUFFLE_ALPHA = 0.05
-DEFAULT_SHUFFLE_CONFIDENCE = 0.95
+SHUFFLE_ALPHA = 0.05
+SHUFFLE_CONFIDENCE = 0.95
 
 
 def _rank_structure(values: np.ndarray):
@@ -204,35 +204,33 @@ def _check_arity(events, schema: FeatureSchema) -> None:
 
 
 def time_correlation_filter(
-    burn_in_events: list[Event],
+    burn_in_events: Sequence[Event],
     schema: FeatureSchema,
     seed=0,
-    sample_size: int = DEFAULT_MIC_SAMPLE,
-    alpha: float = DEFAULT_SHUFFLE_ALPHA,
-    confidence: float = DEFAULT_SHUFFLE_CONFIDENCE,
 ) -> MicFilterResult:
     """Flag features whose MIC against event order beats every shuffled MIC.
 
-    Samples uniformly spaced events from the burn-in, computes each
-    feature's MIC against the sample index, then the max MIC over M
-    random shuffles of the feature series. A feature is removed when its
-    MIC exceeds that max. Per-feature problems never abort the filter;
-    the feature is kept and its entry carries a warning.
+    Samples ``BURN_IN_SAMPLE_SIZE`` uniformly spaced events from the
+    burn-in, computes each feature's MIC against the sample index, then
+    the max MIC over the shuffle count that ``SHUFFLE_ALPHA`` and
+    ``SHUFFLE_CONFIDENCE`` give. A feature is removed when its MIC
+    exceeds that max. Per-feature problems never abort the filter; the
+    feature is kept and its entry carries a warning.
     """
     if len(burn_in_events) == 0:
         raise ValueError("empty burn-in")
     _check_arity(burn_in_events, schema)
-    picked = burn_in_sample_indices(len(burn_in_events), sample_size)
-    if len(picked) < sample_size:
+    picked = burn_in_sample_indices(len(burn_in_events), BURN_IN_SAMPLE_SIZE)
+    if len(picked) < BURN_IN_SAMPLE_SIZE:
         warnings.warn(
             f"burn-in has {len(burn_in_events)} events, fewer than the "
-            f"{sample_size} requested sample points; using all of them",
+            f"{BURN_IN_SAMPLE_SIZE} requested sample points; using all of them",
             stacklevel=2,
         )
     sample = [burn_in_events[i] for i in picked]
     n = len(sample)
     order_series = np.arange(n, dtype=np.float64)
-    shuffles = shuffle_count(alpha, confidence)
+    shuffles = shuffle_count(SHUFFLE_ALPHA, SHUFFLE_CONFIDENCE)
     rng = np.random.default_rng(seed)
     budget = _grid_budget(n)
     max_bins = max(budget // 2, 2)
@@ -264,7 +262,7 @@ def time_correlation_filter(
                 spec.name, spec.kind, observed, threshold, observed > threshold, warning
             )
         )
-    return MicFilterResult(tuple(entries), shuffles, n, alpha, confidence)
+    return MicFilterResult(tuple(entries), shuffles, n, SHUFFLE_ALPHA, SHUFFLE_CONFIDENCE)
 
 
 MODEL_SCORE_COLUMN = "model_score"
@@ -384,22 +382,20 @@ def validation_curve(
 
 @dataclass
 class ReportConfig:
-    """Knobs for report assembly; defaults mirror the monitoring pipeline."""
+    """The report settings a config file can set, under ``report.``.
 
-    bin_count: int = 100
+    Everything else a report uses comes from the trigger (the signal's
+    bin count) or is fixed (the default ``GBDTParams`` and the MIC
+    filter's constants).
+    """
+
     top_importances: int = 10
     top_events: int = 100
     cv_folds: int = 5
     validation_step: int | None = None
     validation_max_k: int | None = None
-    gbdt_params: gbdt.GBDTParams = field(default_factory=gbdt.GBDTParams)
-    mic_sample_size: int = DEFAULT_MIC_SAMPLE
-    mic_alpha: float = DEFAULT_SHUFFLE_ALPHA
-    mic_confidence: float = DEFAULT_SHUFFLE_CONFIDENCE
 
     def __post_init__(self):
-        if self.bin_count < 1:
-            raise ConfigError("bin_count must be at least 1")
         if self.cv_folds < 2:
             raise ConfigError("cv_folds must be at least 2")
         if self.top_events < 0 or self.top_importances < 0:
@@ -433,22 +429,22 @@ def build_report(trigger, schema: FeatureSchema, config: ReportConfig | None = N
     """Assemble the full explanation for one alarm trigger.
 
     Uses the given burn-in filter result, computing it from the trigger's
-    raw burn-in sample only when absent. All randomness (filter shuffles,
-    validation removals, CV folds) derives from the seed.
+    raw burn-in sample only when absent. The validation curve uses the
+    trigger's bin count, so it starts at the trigger's signal. All
+    randomness (filter shuffles, validation removals, CV folds) derives
+    from the seed.
     """
     config = config or ReportConfig()
     seeds = _seed_list(seed)
     if filter_result is None:
         filter_result = time_correlation_filter(
-            list(trigger.burn_in_sample), schema, seed=seeds + [0],
-            sample_size=config.mic_sample_size,
-            alpha=config.mic_alpha, confidence=config.mic_confidence,
+            trigger.burn_in_sample, schema, seed=seeds + [0]
         )
 
     matrix, column_warnings = encode(
         trigger.r_snapshot, trigger.t_snapshot, schema, filter_result
     )
-    model = gbdt.fit(matrix, config.gbdt_params)
+    model = gbdt.fit(matrix)
     importances = gbdt.feature_importance(model)
 
     t_rows = matrix.x[len(trigger.r_snapshot):]
@@ -456,13 +452,12 @@ def build_report(trigger, schema: FeatureSchema, config: ReportConfig | None = N
     curve = validation_curve(
         trigger.r_snapshot, trigger.t_snapshot,
         [position for position, _, _ in ranking],
-        config.bin_count,
+        trigger.bin_count,
         step=config.validation_step,
         max_k=config.validation_max_k,
         rng=np.random.default_rng(seeds + [1]),
     )
-    cv = gbdt.kfold_auc(matrix, k=config.cv_folds, params=config.gbdt_params,
-                        seed=seeds + [2])
+    cv = gbdt.kfold_auc(matrix, k=config.cv_folds, seed=seeds + [2])
 
     event_columns = [name for name, _ in importances]
     top = ranking[: min(config.top_events, len(ranking))]

@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .divergence import IncrementalSignal
+from .divergence import DEFAULT_BIN_COUNT, IncrementalSignal
 from .spear import PercentileSketch
 from .stream_model import Event, check_score, check_timestamp
 from .windows import ConfigError, WindowPair
@@ -38,7 +38,11 @@ class SignalPoint:
 
 @dataclass(frozen=True)
 class AlarmTrigger:
-    """Everything the explainer needs, frozen at trigger time."""
+    """Everything the explainer needs, frozen at trigger time.
+
+    ``bin_count`` is the histogram bin count the signal was computed
+    with, so a report's validation curve starts at ``signal``.
+    """
 
     alarm_index: int
     event_index: int
@@ -48,13 +52,14 @@ class AlarmTrigger:
     r_snapshot: tuple[Event, ...]
     t_snapshot: tuple[Event, ...]
     burn_in_sample: tuple[Event, ...]
+    bin_count: int = DEFAULT_BIN_COUNT
 
 
 @dataclass
 class MonitorConfig:
     n_r: int
     n_t: int
-    bin_count: int = 100
+    bin_count: int = DEFAULT_BIN_COUNT
     threshold_percentile: float = 95.0
     sketch_bins: int = 100
     refractory_events: int | None = None
@@ -171,6 +176,7 @@ class Monitor:
                     trigger = AlarmTrigger(
                         self.alarm_count, index, event.timestamp, value,
                         threshold, r_snap, t_snap, self.burn_in_sample,
+                        self.config.bin_count,
                     )
                     self.alarm_count += 1
                     self.last_alarm_index = index

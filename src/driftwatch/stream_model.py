@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterable, Iterator, TextIO
 
@@ -143,18 +144,28 @@ def _parse_numeric_cell(cell: str, line_number: int, name: str) -> FeatureValue:
 
 
 def check_timestamp(ts: int, previous: int | None, line_number: int | None = None) -> None:
-    """Raise :class:`TimestampOrderError` if ``ts`` decreases below ``previous``."""
+    """Raise unless ``ts`` is an integer no smaller than ``previous``.
+
+    A bool or a float (even ``1.0``) raises :class:`StreamError`, as the
+    CSV cell ``1.0`` does; a decrease raises :class:`TimestampOrderError`.
+    """
+    # The exact-type test goes first: it is far cheaper than the ABC check,
+    # and this runs twice per event.
+    if type(ts) is not int and (isinstance(ts, bool) or not isinstance(ts, numbers.Integral)):
+        raise StreamError(f"bad timestamp {ts!r}", line_number)
     if previous is not None and ts < previous:
         raise TimestampOrderError(f"timestamp {ts} decreases below {previous}", line_number)
 
 
 def _parse_timestamp(raw, line_number: int, previous: int | None) -> int:
-    try:
-        ts = int(raw)
-    except (ValueError, TypeError) as exc:
-        raise StreamError(f"bad timestamp {raw!r}", line_number) from exc
-    check_timestamp(ts, previous, line_number)
-    return ts
+    """A CSV cell or JSON string is parsed as an integer; a JSON number is taken as is."""
+    if isinstance(raw, str):
+        try:
+            raw = int(raw)
+        except ValueError as exc:
+            raise StreamError(f"bad timestamp {raw!r}", line_number) from exc
+    check_timestamp(raw, previous, line_number)
+    return raw
 
 
 def check_score(score: float, line_number: int | None = None) -> None:

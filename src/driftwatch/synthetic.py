@@ -59,13 +59,6 @@ class ScoreMixture:
             return float(rng.beta(self.a1, self.b1))
         return float(rng.beta(self.a2, self.b2))
 
-    def to_json(self) -> dict:
-        return {
-            "weight": self.weight,
-            "a1": self.a1, "b1": self.b1,
-            "a2": self.a2, "b2": self.b2,
-        }
-
     @classmethod
     def from_json(cls, data: dict) -> "ScoreMixture":
         return cls(
@@ -92,14 +85,6 @@ class NumericGenerator:
         missing = rng.random() < self.missing_rate
         value = float(rng.normal(self.mean, self.std))
         return MISSING if missing else value
-
-    def to_json(self) -> dict:
-        return {
-            "type": "numeric",
-            "mean": self.mean,
-            "std": self.std,
-            "missing_rate": self.missing_rate,
-        }
 
 
 @dataclass(frozen=True)
@@ -129,14 +114,6 @@ class CategoricalGenerator:
         position = bisect.bisect_left(cumulative, coin)
         position = min(position, len(self.values) - 1)
         return MISSING if missing else self.values[position]
-
-    def to_json(self) -> dict:
-        return {
-            "type": "categorical",
-            "values": list(self.values),
-            "weights": list(self.weights),
-            "missing_rate": self.missing_rate,
-        }
 
 
 FeatureGenerator = NumericGenerator | CategoricalGenerator
@@ -180,14 +157,6 @@ class DriftSegment:
     def end(self) -> int:
         return self.start + self.length
 
-    def to_json(self) -> dict:
-        return {
-            "start": self.start,
-            "length": self.length,
-            "score": None if self.score is None else self.score.to_json(),
-            "features": {name: gen.to_json() for name, gen in self.features},
-        }
-
 
 @dataclass(frozen=True)
 class SyntheticSpec:
@@ -222,19 +191,6 @@ class SyntheticSpec:
         return FeatureSchema(
             tuple(FeatureSpec(name, gen.kind) for name, gen in self.features)
         )
-
-    def to_json(self) -> dict:
-        return {
-            "seed": self.seed,
-            "events": self.events,
-            "timestamp_start": self.timestamp_start,
-            "timestamp_step": self.timestamp_step,
-            "score": self.score.to_json(),
-            "features": [
-                {"name": name, **gen.to_json()} for name, gen in self.features
-            ],
-            "drifts": [segment.to_json() for segment in self.drifts],
-        }
 
 
 def spec_from_json(data: dict) -> SyntheticSpec:

@@ -22,6 +22,8 @@ from driftwatch import (
     FeatureFilterEntry,
     FeatureSpec,
     MicFilterResult,
+    Monitor,
+    MonitorConfig,
     ReportConfig,
     build_report,
     encode,
@@ -36,7 +38,7 @@ from driftwatch.divergence import ScoreHistogram, jsd
 from driftwatch.explain import MODEL_SCORE_COLUMN
 from driftwatch.report import to_json_dict
 
-from helpers import schema_of
+from helpers import EMPTY_SCHEMA, schema_of, score_events
 
 
 class TestMic:
@@ -405,6 +407,18 @@ class TestBuildReport:
         hist_r = ScoreHistogram.from_scores((e.score for e in _report_trigger()[0].r_snapshot), 100)
         hist_t = ScoreHistogram.from_scores((e.score for e in _report_trigger()[0].t_snapshot), 100)
         assert abs(report.validation.ranked_jsd[0] - jsd(hist_r, hist_t)) <= 1e-12
+
+    def test_validation_curve_starts_at_the_monitor_signal(self):
+        # The monitor's bin count differs from the default of 100, and the
+        # report reads it from the trigger, not from a second setting.
+        rng = np.random.default_rng(5)
+        scores = np.concatenate([rng.beta(2.0, 8.0, 1500), rng.beta(8.0, 2.0, 600)])
+        monitor = Monitor(MonitorConfig(n_r=400, n_t=150, bin_count=10, sketch_bins=20,
+                                        min_signal_samples=450), seed=3)
+        trigger = next(t for _, t in map(monitor.step, score_events(scores)) if t)
+        assert trigger.bin_count == 10
+        curve = build_report(trigger, EMPTY_SCHEMA, seed=0).validation
+        assert curve.ranked_jsd[0] == curve.random_jsd[0] == trigger.signal
 
     def test_top_events_cap_applies(self):
         trigger, schema = _report_trigger()

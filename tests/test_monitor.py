@@ -16,7 +16,7 @@ from driftwatch import (
     select_valleys,
 )
 from driftwatch.monitor import ValleyPool
-from driftwatch.stream_model import ScoreRangeError, TimestampOrderError
+from driftwatch.stream_model import ScoreRangeError, StreamError, TimestampOrderError
 from driftwatch.windows import ConfigError
 
 from helpers import score_events, tiny_monitor_config
@@ -444,6 +444,20 @@ class TestTimestampValidation:
         before = monitor_state(monitor)
         with pytest.raises(TimestampOrderError):
             monitor.step(Event(1000 + len(prefix) - 1 - drop, 0.5, ()))
+        assert monitor_state(monitor) == before
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        prefix=st.lists(st.floats(0.0, 1.0), max_size=160),
+        bad=st.one_of(st.floats(), st.integers(0, 10**6).map(float), st.booleans()),
+    )
+    def test_non_integer_timestamp_leaves_state_unchanged(self, prefix, bad):
+        monitor = Monitor(tiny_monitor_config(), seed=3)
+        for i, score in enumerate(prefix):
+            monitor.step(Event(i, score, ()))
+        before = monitor_state(monitor)
+        with pytest.raises(StreamError, match="bad timestamp"):
+            monitor.step(Event(bad, 0.5, ()))
         assert monitor_state(monitor) == before
 
     def test_equal_timestamps_allowed(self):

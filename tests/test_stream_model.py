@@ -172,6 +172,38 @@ class TestJsonlReader:
             read_stream(io.StringIO(""), AMOUNT_CHANNEL, "parquet")
 
 
+class TestTimestampParity:
+    """CSV and JSONL accept and reject the same timestamps."""
+
+    @staticmethod
+    def read_jsonl(value):
+        line = json.dumps({"timestamp": value, "score": 0.5, "amount": 1.0, "channel": "web"})
+        return list(read_jsonl_stream(io.StringIO(line + "\n"), AMOUNT_CHANNEL))
+
+    @staticmethod
+    def read_csv(cell):
+        return parse_csv(f"timestamp,score,amount,channel\n{cell},0.5,1.0,web\n")
+
+    @pytest.mark.parametrize("json_value, csv_cell", [(12, "12"), ("12", "12")],
+                             ids=["number", "string"])
+    def test_integer_accepted_by_both(self, json_value, csv_cell):
+        events = self.read_jsonl(json_value)
+        assert events == self.read_csv(csv_cell)
+        assert type(events[0].timestamp) is int and events[0].timestamp == 12
+
+    @pytest.mark.parametrize(
+        "json_value, csv_cell",
+        [(1.7, "1.7"), (1.0, "1.0"), (True, "true"), (None, ""), ("1.7", "1.7")],
+        ids=["fraction", "integral_float", "bool", "null", "fraction_string"],
+    )
+    def test_non_integer_rejected_by_both(self, json_value, csv_cell):
+        with pytest.raises(StreamError, match="bad timestamp") as from_jsonl:
+            self.read_jsonl(json_value)
+        with pytest.raises(StreamError, match="bad timestamp") as from_csv:
+            self.read_csv(csv_cell)
+        assert from_jsonl.value.line_number == 1 and from_csv.value.line_number == 2
+
+
 class TestSchema:
     def test_duplicate_names_rejected(self):
         with pytest.raises(SchemaError):
