@@ -68,10 +68,14 @@ def _sweep_right(p: list[float], x: float, count: int) -> None:
             count_next = c_per_bin + 1.0 if x < right else c_per_bin
             density = count_next / width
             moved = left + delta / density
+            # What is left of the next bin is count_next - delta; reading it
+            # off density * (right - moved) cancels when moved nears right.
             if moved > right:
                 moved = right
+                c_this = 0.0
+            else:
+                c_this = count_next - delta
             p[i] = moved
-            c_this = density * (right - moved)
         else:
             previous = p[i - 1]
             width = left - previous
@@ -123,8 +127,10 @@ def _sweep_left(p: list[float], x: float, count: int) -> None:
             moved = right - delta / density
             if moved < left:
                 moved = left
+                c_this = 0.0
+            else:
+                c_this = count_next - delta
             p[i] = moved
-            c_this = density * (moved - left)
         else:
             following = p[i + 1]
             width = following - right
