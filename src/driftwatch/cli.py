@@ -109,10 +109,6 @@ def load_run_config(path: str) -> tuple[MonitorConfig, ReportConfig, dict]:
         report_config = ReportConfig(**report_kwargs)
     except ConfigError as exc:
         raise CliError(str(exc), EXIT_CONFIG) from exc
-    if monitor_config.n_r < 2 or monitor_config.n_t < 2:
-        # Every alarm report cross-validates R against T, which needs at
-        # least two rows of each window.
-        raise CliError("monitor.n_r and monitor.n_t must be at least 2", EXIT_CONFIG)
     max_k = report_config.validation_max_k
     if max_k is not None and max_k >= monitor_config.n_t:
         # The validation curve peels up to max_k events from T.

@@ -68,8 +68,10 @@ class MonitorConfig:
     valley_count: int = 5
 
     def __post_init__(self):
-        if self.n_r < 1 or self.n_t < 1:
-            raise ConfigError("window sizes must be positive")
+        if self.n_r < 2 or self.n_t < 2:
+            # Every alarm report cross-validates R against T, which needs at
+            # least two rows of each window.
+            raise ConfigError("window sizes n_r and n_t must be at least 2")
         if self.bin_count < 1:
             raise ConfigError("bin_count must be at least 1")
         if not 0.0 < self.threshold_percentile < 100.0:

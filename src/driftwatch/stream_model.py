@@ -3,7 +3,9 @@
 An event stream is a sequence of scored events: a timestamp in epoch
 milliseconds, a model score in [0, 1], and a fixed-arity feature vector
 described by a :class:`FeatureSchema`. Streams are read from CSV or
-JSON-lines files, one event per row, in file order.
+JSON-lines files, one event per row, in file order. A JSON-lines object
+is read as the CSV row holding the same values, and one row function
+turns a row from either format into an :class:`Event`.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ class StreamError(Exception):
 
 
 class ScoreRangeError(StreamError):
-    """Row rejected because its score is outside [0, 1]."""
+    """Row rejected because its score is not a number in [0, 1]."""
 
 
 class TimestampOrderError(StreamError):
@@ -134,15 +136,6 @@ def normalize_numeric(value: float) -> FeatureValue:
     return value if math.isfinite(value) else MISSING
 
 
-def _parse_numeric_cell(cell: str, line_number: int, name: str) -> FeatureValue:
-    if cell == "":
-        return MISSING
-    try:
-        return normalize_numeric(float(cell))
-    except ValueError as exc:
-        raise StreamError(f"bad numeric value {cell!r} for {name!r}", line_number) from exc
-
-
 def check_timestamp(ts: int, previous: int | None, line_number: int | None = None) -> None:
     """Raise unless ``ts`` is an integer no smaller than ``previous``.
 
@@ -157,17 +150,6 @@ def check_timestamp(ts: int, previous: int | None, line_number: int | None = Non
         raise TimestampOrderError(f"timestamp {ts} decreases below {previous}", line_number)
 
 
-def _parse_timestamp(raw, line_number: int, previous: int | None) -> int:
-    """A CSV cell or JSON string is parsed as an integer; a JSON number is taken as is."""
-    if isinstance(raw, str):
-        try:
-            raw = int(raw)
-        except ValueError as exc:
-            raise StreamError(f"bad timestamp {raw!r}", line_number) from exc
-    check_timestamp(raw, previous, line_number)
-    return raw
-
-
 def check_score(score: float, line_number: int | None = None) -> None:
     """Raise :class:`ScoreRangeError` unless the score is a finite number in [0, 1].
 
@@ -177,42 +159,58 @@ def check_score(score: float, line_number: int | None = None) -> None:
         raise ScoreRangeError(f"score {score} outside [0, 1]", line_number)
 
 
-def _parse_score(raw, line_number: int) -> float:
-    try:
-        # A JSON true stays a bool, so check_score refuses it.
-        score = raw if isinstance(raw, bool) else float(raw)
-    except (ValueError, TypeError) as exc:
-        raise StreamError(f"bad score {raw!r}", line_number) from exc
-    check_score(score, line_number)
-    return score
-
-
-def _feature_from_raw(raw, spec: FeatureSpec, line_number: int) -> FeatureValue:
-    if raw is None:
+def _feature_from_cell(cell: str, spec: FeatureSpec, line_number: int) -> FeatureValue:
+    if cell == "":
         return MISSING
-    if spec.kind == NUMERIC:
-        if isinstance(raw, str):
-            return _parse_numeric_cell(raw, line_number, spec.name)
-        return normalize_numeric(raw)
-    cell = str(raw)
-    return MISSING if cell == "" else cell
+    if spec.kind == CATEGORICAL:
+        return cell
+    try:
+        return normalize_numeric(float(cell))
+    except ValueError as exc:
+        raise StreamError(f"bad numeric value {cell!r} for {spec.name!r}", line_number) from exc
 
 
 EXTRA_PREFIX = "extra."
 
 
+def _event_from_row(row: list[str], extra_keys: list[str], schema: FeatureSchema,
+                    line_number: int, previous_ts: int | None) -> Event:
+    """Build the event one data row holds; both readers end here.
+
+    ``row`` is laid out as a CSV data row: timestamp, score, one cell per
+    schema feature, then one value per entry of ``extra_keys``. NUL is
+    refused here, so every event read can be written as CSV.
+    """
+    width = 2 + schema.arity + len(extra_keys)
+    if len(row) != width:
+        raise StreamError(f"expected {width} cells, got {len(row)}", line_number)
+    if "\x00" in "".join(row) or "\x00" in "".join(extra_keys):
+        raise StreamError("cell contains NUL", line_number)
+    try:
+        ts = int(row[0])
+    except ValueError as exc:
+        raise StreamError(f"bad timestamp {row[0]!r}", line_number) from exc
+    check_timestamp(ts, previous_ts, line_number)
+    try:
+        score = float(row[1])
+    except ValueError as exc:
+        raise ScoreRangeError(f"score {row[1]!r} is not a number", line_number) from exc
+    check_score(score, line_number)
+    features = tuple(
+        _feature_from_cell(cell, spec, line_number)
+        for cell, spec in zip(row[2:], schema.features)
+    )
+    return Event(ts, score, features, tuple(zip(extra_keys, row[2 + schema.arity:])))
+
+
 def _csv_rows(source: TextIO) -> Iterator[tuple[int, list[str]]]:
     """Yield ``(line_number, cells)`` per CSV row, 1-based.
 
-    NUL is refused here rather than left to the csv module, which
-    refuses it on some Python versions and passes it through on others;
-    the module's own errors also become :class:`StreamError`.
+    The csv module's own errors become :class:`StreamError`.
     """
     line_number = 0
     try:
         for line_number, row in enumerate(csv.reader(source), start=1):
-            if "\x00" in "".join(row):
-                raise StreamError("cell contains NUL", line_number)
             yield line_number, row
     except csv.Error as exc:
         raise StreamError(f"malformed CSV: {exc}", line_number + 1) from exc
@@ -243,26 +241,37 @@ def read_csv_stream(source: TextIO, schema: FeatureSchema) -> Iterator[Event]:
 
     previous_ts = None
     for line_number, row in rows:
-        if len(row) != len(header):
-            raise StreamError(f"expected {len(header)} cells, got {len(row)}", line_number)
-        ts = _parse_timestamp(row[0], line_number, previous_ts)
-        previous_ts = ts
-        score = _parse_score(row[1], line_number)
-        features = tuple(
-            _feature_from_raw(row[2 + i], spec, line_number)
-            for i, spec in enumerate(schema.features)
-        )
-        extras = tuple(
-            (key, row[2 + schema.arity + j]) for j, key in enumerate(extra_keys)
-        )
-        yield Event(ts, score, features, extras)
+        event = _event_from_row(row, extra_keys, schema, line_number, previous_ts)
+        previous_ts = event.timestamp
+        yield event
+
+
+def _json_cell(doc: dict, key: str, line_number: int) -> str:
+    """The CSV cell that holds the same value as ``doc[key]``."""
+    value = doc.get(key)
+    if type(value) is str:
+        return value
+    if value is None:
+        return ""
+    if type(value) is float or type(value) is int:
+        # The shortest round-trip text, as write_csv_stream writes a float;
+        # for a finite number it is also the JSON text.
+        return repr(value)
+    if isinstance(value, (list, dict)):
+        raise StreamError(f"{key!r} holds a JSON array or object", line_number)
+    return json.dumps(value)  # true or false
 
 
 def read_jsonl_stream(source: TextIO, schema: FeatureSchema) -> Iterator[Event]:
     """Yield events from a JSON-lines stream with the same keys as the CSV columns.
 
-    As in CSV, NUL is rejected, so every event read can be written as CSV.
+    Each object is read as the CSV row holding the same values: null or a
+    missing key is an empty cell, a string is its text, and true, false
+    and numbers are their JSON text. An array or object value, and a line
+    that is not an object with ``timestamp`` and ``score`` keys, are
+    refused.
     """
+    columns = ("timestamp", "score", *schema.names)
     previous_ts = None
     for line_number, line in enumerate(source, start=1):
         line = line.strip()
@@ -270,27 +279,16 @@ def read_jsonl_stream(source: TextIO, schema: FeatureSchema) -> Iterator[Event]:
             continue
         try:
             doc = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also an integer past the interpreter's digit limit
             raise StreamError(f"bad JSON: {exc}", line_number) from exc
-        if "timestamp" not in doc or "score" not in doc:
-            raise StreamError("missing timestamp or score key", line_number)
-        ts = _parse_timestamp(doc["timestamp"], line_number, previous_ts)
-        previous_ts = ts
-        score = _parse_score(doc["score"], line_number)
-        features = tuple(
-            _feature_from_raw(doc.get(spec.name), spec, line_number)
-            for spec in schema.features
-        )
-        extras = tuple(
-            (key[len(EXTRA_PREFIX):], str(value))
-            for key, value in doc.items()
-            if key.startswith(EXTRA_PREFIX)
-        )
-        cells = [f for f in features if isinstance(f, str)]
-        cells += [part for pair in extras for part in pair]
-        if "\x00" in "".join(cells):
-            raise StreamError("cell contains NUL", line_number)
-        yield Event(ts, score, features, extras)
+        if not isinstance(doc, dict) or "timestamp" not in doc or "score" not in doc:
+            raise StreamError("expected an object with timestamp and score keys", line_number)
+        extra_columns = [key for key in doc if key.startswith(EXTRA_PREFIX)]
+        row = [_json_cell(doc, key, line_number) for key in (*columns, *extra_columns)]
+        extra_keys = [key[len(EXTRA_PREFIX):] for key in extra_columns]
+        event = _event_from_row(row, extra_keys, schema, line_number, previous_ts)
+        previous_ts = event.timestamp
+        yield event
 
 
 def read_stream(source: TextIO, schema: FeatureSchema, format: str = "csv") -> Iterator[Event]:

@@ -377,6 +377,20 @@ class TestExitCodes:
         assert code == EXIT_INPUT
         assert "line 41" in capsys.readouterr().err
 
+    def test_non_object_jsonl_line_is_an_input_error(self, workspace, tmp_path, capsys):
+        _, stream, _, _ = workspace
+        bad = tmp_path / "bad.jsonl"
+        good = json.dumps({"timestamp": 1, "score": 0.5, "amount": 1.0, "channel": "web"})
+        bad.write_text(f"{good}\n5\n")
+        config = tmp_path / "c.conf"
+        config.write_text("monitor.n_r = 10\nmonitor.n_t = 5\n")
+        code = main(["monitor", "--input", str(bad),
+                     "--schema", str(stream) + ".schema.json",
+                     "--config", str(config), "--out", str(tmp_path / "out")])
+        assert code == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "line 2:" in err and "Traceback" not in err
+
     def test_generate_overlapping_drifts_is_a_config_error(self, tmp_path, capsys):
         spec = dict(BASE_SPEC)
         spec["drifts"] = [

@@ -60,6 +60,8 @@ class TestConfig:
             dict(sketch_bins=1),
             dict(refractory_events=0),
             dict(valley_count=-1),
+            dict(n_t=1),
+            dict(n_r=1),
         ],
     )
     def test_bad_settings_rejected(self, overrides):

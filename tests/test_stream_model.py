@@ -2,6 +2,7 @@
 
 import io
 import json
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -204,6 +205,55 @@ class TestTimestampParity:
         assert from_jsonl.value.line_number == 1 and from_csv.value.line_number == 2
 
 
+class TestJsonlObjectIsCsvRow:
+    """A JSON-lines object is read as the CSV row holding the same values."""
+
+    @staticmethod
+    def read_jsonl(*lines):
+        text = "".join(line + "\n" for line in lines)
+        return list(read_jsonl_stream(io.StringIO(text), AMOUNT_CHANNEL))
+
+    @pytest.mark.parametrize("line", ["5", '"text"', "[1, 2]"],
+                             ids=["number", "string", "array"])
+    def test_non_object_line_rejected_with_line_number(self, line):
+        good = json.dumps({"timestamp": 1, "score": 0.5, "amount": 1.0, "channel": "web"})
+        with pytest.raises(StreamError, match="object") as exc:
+            self.read_jsonl(good, line)
+        assert exc.value.line_number == 2
+
+    def test_integer_past_the_digit_limit_rejected_with_line_number(self):
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if limit == 0:
+            pytest.skip("this interpreter converts integers of any length")
+        line = f'{{"timestamp": {"1" * (limit + 1)}, "score": 0.5}}'
+        with pytest.raises(StreamError, match="bad JSON") as exc:
+            self.read_jsonl(line)
+        assert exc.value.line_number == 1
+
+    @pytest.mark.parametrize("value", [[1], {"a": 1}], ids=["array", "object"])
+    @pytest.mark.parametrize("key", ["timestamp", "score", "amount", "channel", "extra.id"])
+    def test_array_or_object_value_rejected_naming_the_key(self, key, value):
+        doc = {"timestamp": 1, "score": 0.5, "amount": 1.0, "channel": "web", key: value}
+        with pytest.raises(StreamError, match=repr(key)) as exc:
+            self.read_jsonl(json.dumps(doc))
+        assert exc.value.line_number == 1
+
+    def test_bool_numeric_value_rejected_as_csv_cell_true_is(self):
+        line = json.dumps({"timestamp": 1, "score": 0.5, "amount": True, "channel": "web"})
+        with pytest.raises(StreamError, match="bad numeric value") as from_jsonl:
+            self.read_jsonl(line)
+        with pytest.raises(StreamError, match="bad numeric value") as from_csv:
+            parse_csv("timestamp,score,amount,channel\n1,0.5,true,web\n")
+        assert from_jsonl.value.line_number == 1 and from_csv.value.line_number == 2
+
+    def test_null_extra_is_the_empty_csv_cell(self):
+        line = json.dumps({"timestamp": 1, "score": 0.5, "amount": 1.0, "channel": "web",
+                           "extra.id": None})
+        events = self.read_jsonl(line)
+        assert events[0].extras_dict() == {"id": ""}
+        assert events == parse_csv("timestamp,score,amount,channel,extra.id\n1,0.5,1.0,web,\n")
+
+
 class TestSchema:
     def test_duplicate_names_rejected(self):
         with pytest.raises(SchemaError):
@@ -269,3 +319,46 @@ def test_nul_byte_rejected_with_clear_error():
     events = [Event(0, 0.5, (1.0, "a\x00b"))]
     with pytest.raises(StreamError, match="not representable as CSV"):
         write_csv_stream(events, AMOUNT_CHANNEL, io.StringIO())
+
+
+def _json_value(value):
+    return None if value is MISSING else value
+
+
+@st.composite
+def events_with_json_values(draw):
+    """Events plus, per event, the JSON value written for its ``extra.id``."""
+    timestamps = sorted(draw(st.lists(st.integers(-10**18, 10**18), min_size=1, max_size=6)))
+    amounts = st.one_of(
+        st.just(MISSING),
+        finite_floats,
+        st.sampled_from([1.7976931348623157e308, 1e300, 1e-300, 5e-324, -2.2250738585072014e-308]),
+    )
+    events, ids = [], []
+    for ts in timestamps:
+        score = draw(st.floats(min_value=0.0, max_value=1.0, width=64))
+        features = (draw(amounts), draw(st.one_of(st.just(MISSING), cell_text)))
+        extra_id = draw(st.one_of(st.none(), cell_text))
+        events.append(Event(ts, score, features, (("id", extra_id or ""),)))
+        ids.append(extra_id)
+    return events, ids
+
+
+@given(events_with_json_values())
+@settings(max_examples=120, deadline=None)
+def test_csv_and_jsonl_read_the_same_events(drawn):
+    events, ids = drawn
+    sink = io.StringIO()
+    write_csv_stream(events, AMOUNT_CHANNEL, sink, extra_keys=("id",))
+    lines = "".join(
+        json.dumps({
+            "timestamp": event.timestamp,
+            "score": event.score,
+            "amount": _json_value(event.features[0]),
+            "channel": _json_value(event.features[1]),
+            "extra.id": extra_id,
+        }) + "\n"
+        for event, extra_id in zip(events, ids)
+    )
+    from_jsonl = list(read_jsonl_stream(io.StringIO(lines), AMOUNT_CHANNEL))
+    assert from_jsonl == parse_csv(sink.getvalue()) == events
