@@ -9,6 +9,7 @@ validation curve, and cross-validates the discriminator. The assembled
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from collections import Counter
@@ -55,27 +56,23 @@ def _rank_structure(values: np.ndarray):
     return order, group_of_sorted, totals / sizes
 
 
-def _axis_assignments(values: np.ndarray, max_bins: int) -> dict[int, np.ndarray]:
-    """Equi-frequency midrank bin assignment per bin count 2..max_bins."""
+def _axis_assignments(values: np.ndarray, max_bins: int) -> np.ndarray:
+    """Equi-frequency midrank bin assignments; row k is for k + 2 bins."""
     n = len(values)
     order, group_of_sorted, midrank = _rank_structure(values)
-    out = {}
-    for bins in range(2, max_bins + 1):
+    out = np.empty((max_bins - 1, n), dtype=np.intp)
+    for bins, assignment in enumerate(out, start=2):
         bin_of_group = np.minimum((midrank * bins / n).astype(np.int64), bins - 1)
-        assignment = np.empty(n, dtype=np.int64)
         assignment[order] = bin_of_group[group_of_sorted]
-        out[bins] = assignment
     return out
 
 
-def _mutual_information_bits(xa: np.ndarray, a: int, tb: np.ndarray, b: int, n: int) -> float:
+def _grid_bits(joint_counts: np.ndarray, px: np.ndarray, pt: np.ndarray, n: int) -> float:
     # Marginals come from the integer bin counts, not from summing the
     # joint grid: float row sums depend on the reduction axis, while
     # count / n is one division. Together with the sorted summation below
     # this makes mic(x, t) == mic(t, x) exact.
-    joint = np.bincount(xa * b + tb, minlength=a * b).astype(np.float64) / n
-    px = np.bincount(xa, minlength=a).astype(np.float64) / n
-    pt = np.bincount(tb, minlength=b).astype(np.float64) / n
+    joint = joint_counts.astype(np.float64) / n
     independent = np.outer(px, pt).ravel()
     keep = joint > 0.0
     terms = joint[keep] * np.log2(joint[keep] / independent[keep])
@@ -87,20 +84,77 @@ def _grid_budget(n: int) -> int:
     return int(n ** 0.6)
 
 
-def _mic_from_assignments(
-    x_assign: dict[int, np.ndarray],
-    t_assign: dict[int, np.ndarray],
-    n: int,
-    budget: int,
-) -> float:
-    best = 0.0
-    for a, xa in x_assign.items():
-        for b in range(2, budget // a + 1):
-            value = _mutual_information_bits(xa, a, t_assign[b], b, n)
-            value /= math.log2(min(a, b))
-            if value > best:
-                best = value
-    return min(best, 1.0)
+class _GridSearch:
+    """Every grid (a, b) with a * b <= n^0.6 against one fixed t series.
+
+    For each x-bin count a, the t values are cut into the segments that
+    every t grid with b <= budget // a respects. One bincount of (a, x bin,
+    t segment) codes then holds the joint counts of all grids: each cell is
+    a difference of their running sum.
+    """
+
+    def __init__(self, t: np.ndarray):
+        n = self.n = len(t)
+        budget = _grid_budget(n)
+        t_assign = _axis_assignments(t, budget // 2)
+        self.xlogx = np.arange(n + 1) * np.log2(np.maximum(np.arange(n + 1), 1))
+        self.t_counts = [np.bincount(tb, minlength=b) for b, tb in enumerate(t_assign, start=2)]
+        self.t_codes = np.empty_like(t_assign, dtype=np.int32)
+        self.widths, self.offsets = np.empty((2, len(t_assign), 1), dtype=np.intp)
+        self.shapes, lows, highs = [], [], []
+        offset = 0
+        for a, t_codes, width, start in zip(range(2, budget // 2 + 1), self.t_codes,
+                                            self.widths, self.offsets):
+            key = t_assign[:budget // a - 1].sum(axis=0)
+            _, first, t_codes[:] = np.unique(key, return_index=True, return_inverse=True)
+            width[0], start[0] = len(first), offset
+            rows = offset + np.arange(a)[:, None] * len(first)
+            for b in range(2, budget // a + 1):
+                seg_bin, bins = t_assign[b - 2][first], np.arange(b)
+                lows.append((rows + np.searchsorted(seg_bin, bins)).ravel())
+                highs.append((rows + np.searchsorted(seg_bin, bins, "right")).ravel())
+                self.shapes.append((a, b))
+            offset += a * len(first)
+        self.size, self.low, self.high = offset, np.concatenate(lows), np.concatenate(highs)
+        self.starts = np.cumsum([0] + [a * b for a, b in self.shapes])
+        self.norms = np.array([math.log2(min(a, b)) for a, b in self.shapes])
+        # Screening slack: over a thousand times the rounding error of
+        # either form of a grid's mutual information (a few multiples of
+        # budget * log2(n) * 2**-53).
+        self.slack = 1e-12 * budget * math.log2(n)
+
+    def mic_scores(self, x: np.ndarray, perms) -> list[float]:
+        """MIC of x against t, then of x permuted by each of ``perms``.
+
+        The entropy form of each grid's mutual information screens the
+        grids; those within ``slack`` of the best are summed exactly by
+        :func:`_grid_bits`, so the MIC does not depend on the screening.
+        """
+        n, shapes = self.n, self.shapes
+        x_codes = _axis_assignments(x, len(self.widths) + 1)
+        x_counts = [np.bincount(xa, minlength=a) for a, xa in enumerate(x_codes, start=2)]
+        x_codes *= self.widths
+        x_codes += self.offsets
+        marginals = np.array([self.xlogx[x_counts[a - 2]].sum()
+                              + self.xlogx[self.t_counts[b - 2]].sum() for a, b in shapes])
+        index, scores = np.empty_like(x_codes), []
+        for perm in itertools.chain([np.arange(n)], perms):
+            # mode="clip": the default mode copies through a buffer.
+            np.take(x_codes, perm, axis=1, out=index, mode="clip")
+            index += self.t_codes
+            counts = np.zeros(self.size + 1, dtype=np.int64)
+            np.cumsum(np.bincount(index.ravel(), minlength=self.size), out=counts[1:])
+            cells = counts[self.high] - counts[self.low]
+            screen = np.add.reduceat(self.xlogx[cells], self.starts[:-1]) - marginals
+            screen = (screen / n + math.log2(n)) / self.norms
+            best = 0.0
+            for g in np.flatnonzero(screen >= screen.max() - self.slack):
+                a, b = shapes[g]
+                bits = _grid_bits(cells[self.starts[g]:self.starts[g + 1]],
+                                  x_counts[a - 2] / n, self.t_counts[b - 2] / n, n)
+                best = max(best, bits / math.log2(min(a, b)))
+            scores.append(min(best, 1.0))
+        return scores
 
 
 def _is_constant(values: np.ndarray) -> bool:
@@ -113,22 +167,24 @@ def mic(x, t) -> float:
     Searches all grid shapes (a, b) with a, b >= 2 and a * b bounded by
     n^0.6, normalizing the mutual information by log2(min(a, b)).
     Deterministic, symmetric in its arguments, bounded in [0, 1], and 0
-    for a constant series.
+    for a constant series. Raises ``ValueError`` on a length mismatch, on
+    input that is not 1-D and on NaN.
+
+    One bincount counts every grid; a cheap form of each grid's mutual
+    information screens them, and the best are summed exactly, each from
+    its nonzero terms in sorted order, so mic(x, t) == mic(t, x) bit for bit.
     """
     x = np.asarray(x, dtype=np.float64)
     t = np.asarray(t, dtype=np.float64)
+    if x.ndim != 1 or t.ndim != 1:
+        raise ValueError(f"mic needs 1-D series, got shapes {x.shape} and {t.shape}")
     if len(x) != len(t):
         raise ValueError(f"length mismatch: {len(x)} vs {len(t)}")
-    n = len(x)
-    if n < 2 or _is_constant(x) or _is_constant(t):
+    if np.isnan(x).any() or np.isnan(t).any():
+        raise ValueError("mic is undefined for NaN values")
+    if _grid_budget(len(x)) < 4 or _is_constant(x) or _is_constant(t):
         return 0.0
-    budget = _grid_budget(n)
-    if budget < 4:
-        return 0.0
-    max_bins = budget // 2
-    x_assign = _axis_assignments(x, max_bins)
-    t_assign = _axis_assignments(t, max_bins)
-    return _mic_from_assignments(x_assign, t_assign, n, budget)
+    return _GridSearch(t).mic_scores(x, ())[0]
 
 
 def shuffle_count(alpha: float, p: float) -> int:
@@ -229,12 +285,11 @@ def time_correlation_filter(
         )
     sample = [burn_in_events[i] for i in picked]
     n = len(sample)
-    order_series = np.arange(n, dtype=np.float64)
     shuffles = shuffle_count(SHUFFLE_ALPHA, SHUFFLE_CONFIDENCE)
     rng = np.random.default_rng(seed)
-    budget = _grid_budget(n)
-    max_bins = max(budget // 2, 2)
-    t_assign = _axis_assignments(order_series, max_bins)
+    search = None
+    if _grid_budget(n) >= 4 and schema.features:
+        search = _GridSearch(np.arange(n, dtype=np.float64))
 
     entries = []
     for index, spec in enumerate(schema.features):
@@ -242,7 +297,7 @@ def time_correlation_filter(
             series, warning = _numeric_series(sample, index)
         else:
             series, warning = _categorical_series(sample, index), None
-        if _is_constant(series) or budget < 4:
+        if search is None or _is_constant(series):
             entries.append(FeatureFilterEntry(spec.name, spec.kind, 0.0, 0.0, False, warning))
             # The shuffle draws below must still happen so that the RNG
             # consumption, and hence every later feature's threshold,
@@ -250,13 +305,10 @@ def time_correlation_filter(
             for _ in range(shuffles):
                 rng.permutation(n)
             continue
-        x_assign = _axis_assignments(series, max_bins)
-        observed = _mic_from_assignments(x_assign, t_assign, n, budget)
-        threshold = 0.0
-        for _ in range(shuffles):
-            perm = rng.permutation(n)
-            permuted = {bins: arr[perm] for bins, arr in x_assign.items()}
-            threshold = max(threshold, _mic_from_assignments(permuted, t_assign, n, budget))
+        observed, *null = search.mic_scores(
+            series, (rng.permutation(n) for _ in range(shuffles))
+        )
+        threshold = max(null)
         entries.append(
             FeatureFilterEntry(
                 spec.name, spec.kind, observed, threshold, observed > threshold, warning

@@ -3,9 +3,11 @@
 Everything here is deliberately written in the most literal way possible,
 with pure Python (and exact rational arithmetic where it matters), so a
 bug in the production code cannot hide behind a shared formula. The
-boosted-tree reference is the exception: it is the per-feature, per-node
-numpy split search that the block search in ``driftwatch.gbdt`` replaced,
-kept so the two can be required to build identical ensembles.
+boosted-tree reference and the MIC grid loop are the exceptions: they are
+the per-feature, per-node numpy split search that the block search in
+``driftwatch.gbdt`` replaced, and the grid-by-grid MIC search that the
+batched one in ``driftwatch.explain`` replaced, kept so each pair can be
+required to give identical results.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from driftwatch import gbdt
+from driftwatch import explain, gbdt
 
 
 def trace_update(positions, x, count):
@@ -254,3 +256,77 @@ def reference_fit(data, params=None):
         initial_score, trees, params.learning_rate, list(data.column_names),
         importance, losses, split_gains,
     )
+
+
+def mutual_information_bits(xa, a, tb, b, n):
+    """Mutual information of one (a, b) grid, in bits, from its bin codes."""
+    joint = np.bincount(xa * b + tb, minlength=a * b).astype(np.float64) / n
+    px = np.bincount(xa, minlength=a).astype(np.float64) / n
+    pt = np.bincount(tb, minlength=b).astype(np.float64) / n
+    independent = np.outer(px, pt).ravel()
+    keep = joint > 0.0
+    terms = joint[keep] * np.log2(joint[keep] / independent[keep])
+    terms.sort()
+    return float(terms.sum())
+
+
+def mic_from_assignments(x_assign, t_assign, n, budget):
+    """MIC as the best normalized grid, scoring one grid per call."""
+    best = 0.0
+    for a, xa in x_assign.items():
+        for b in range(2, budget // a + 1):
+            value = mutual_information_bits(xa, a, t_assign[b], b, n)
+            value /= math.log2(min(a, b))
+            if value > best:
+                best = value
+    return min(best, 1.0)
+
+
+def _assignments(values, max_bins):
+    """Bin count -> equi-frequency midrank assignment, for 2..max_bins bins."""
+    return dict(enumerate(explain._axis_assignments(values, max_bins), start=2))
+
+
+def reference_mic(x, t):
+    """``explain.mic`` through the grid-by-grid search."""
+    x = np.asarray(x, dtype=np.float64)
+    t = np.asarray(t, dtype=np.float64)
+    n = len(x)
+    if n < 2 or np.all(x == x[0]) or np.all(t == t[0]):
+        return 0.0
+    budget = explain._grid_budget(n)
+    if budget < 4:
+        return 0.0
+    return mic_from_assignments(
+        _assignments(x, budget // 2), _assignments(t, budget // 2), n, budget
+    )
+
+
+def reference_filter(events, schema, seed):
+    """(mic, shuffle_threshold, removed) per feature of the burn-in filter,
+    drawing the shuffles in the same order with the grid-by-grid search."""
+    picked = explain.burn_in_sample_indices(len(events), explain.BURN_IN_SAMPLE_SIZE)
+    sample = [events[i] for i in picked]
+    n = len(sample)
+    budget = explain._grid_budget(n)
+    t_assign = _assignments(np.arange(n, dtype=np.float64), budget // 2)
+    rng = np.random.default_rng(seed)
+    out = []
+    for index, spec in enumerate(schema.features):
+        if spec.kind == explain.NUMERIC:
+            series = explain._numeric_series(sample, index)[0]
+        else:
+            series = explain._categorical_series(sample, index)
+        shuffles = explain.shuffle_count(explain.SHUFFLE_ALPHA, explain.SHUFFLE_CONFIDENCE)
+        perms = [rng.permutation(n) for _ in range(shuffles)]
+        if np.all(series == series[0]):
+            out.append((0.0, 0.0, False))
+            continue
+        x_assign = _assignments(series, budget // 2)
+        observed = mic_from_assignments(x_assign, t_assign, n, budget)
+        threshold = 0.0
+        for perm in perms:
+            permuted = {bins: codes[perm] for bins, codes in x_assign.items()}
+            threshold = max(threshold, mic_from_assignments(permuted, t_assign, n, budget))
+        out.append((observed, threshold, observed > threshold))
+    return out

@@ -35,10 +35,11 @@ from driftwatch import (
     validation_curve,
 )
 from driftwatch.divergence import ScoreHistogram, jsd
-from driftwatch.explain import MODEL_SCORE_COLUMN
+from driftwatch.explain import MODEL_SCORE_COLUMN, _GridSearch
 from driftwatch.report import to_json_dict
 
 from helpers import EMPTY_SCHEMA, schema_of, score_events
+from oracles import reference_filter, reference_mic
 
 
 class TestMic:
@@ -87,6 +88,57 @@ class TestMic:
         forward = mic(x, t)
         assert 0.0 <= forward <= 1.0
         assert forward == mic(t, x)
+
+
+class TestMicEdges:
+    @pytest.mark.parametrize("x,t", [
+        ([np.nan] * 50, np.arange(50.0)),
+        (np.arange(50.0), [np.nan] * 50),
+        (np.r_[np.arange(49.0), np.nan], np.arange(50.0)),
+    ])
+    def test_nan_rejected(self, x, t):
+        with pytest.raises(ValueError, match="NaN"):
+            mic(x, t)
+
+    @pytest.mark.parametrize("x,t", [
+        (np.ones((25, 2)), np.arange(50.0)),
+        (np.arange(50.0), np.arange(50.0).reshape(5, 10)),
+        (3.0, 3.0),
+    ])
+    def test_input_that_is_not_1d_rejected(self, x, t):
+        with pytest.raises(ValueError, match="1-D"):
+            mic(x, t)
+
+    def test_symmetry_is_exact_at_the_filter_sample_size_with_ties(self):
+        rng = np.random.default_rng(8)
+        for _ in range(3):
+            a = np.round(rng.normal(size=1000), 1)
+            b = np.round(a + rng.normal(size=1000), 0)
+            assert mic(a, b) == mic(b, a)
+
+
+def _mic_cases(n, rng):
+    """Random, tied and categorical-code pairs of length n."""
+    x = rng.normal(size=n)
+    yield x, rng.normal(size=n) + 0.5 * x
+    yield np.round(x, 1), rng.integers(0, 7, size=n).astype(np.float64)
+    yield rng.integers(0, 4, size=n).astype(np.float64), np.arange(n, dtype=np.float64)
+
+
+class TestMicMatchesGridByGridOracle:
+    """The batched search sums each candidate grid with the same operations
+    as the grid-by-grid loop, so the MICs are equal, not just close."""
+
+    @pytest.mark.parametrize("n", [4, 37, 100, 1000])
+    def test_unshuffled_and_shuffled(self, n):
+        rng = np.random.default_rng(n)
+        for x, t in _mic_cases(n, rng):
+            perms = [rng.permutation(n) for _ in range(3)]
+            assert mic(x, t) == reference_mic(x, t)
+            assert [mic(x[p], t) for p in perms] == [reference_mic(x[p], t) for p in perms]
+            if n >= 37:
+                scores = _GridSearch(t).mic_scores(x, perms)
+                assert scores == [reference_mic(x[p], t) for p in [np.arange(n), *perms]]
 
 
 class TestShuffleCount:
@@ -169,6 +221,24 @@ class TestTimeCorrelationFilter:
         assert [f for f in original if f.name != "flat"] == [
             f for f in altered if f.name != "flat"
         ]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_grid_by_grid_oracle_filter(self, seed):
+        # Criterion-08 style: one index-following column, iid noise, and a
+        # constant column whose shuffles must still be drawn.
+        rng = np.random.default_rng(100 + seed)
+        noise = rng.normal(size=(1000, 3))
+        schema = schema_of(("order", NUMERIC), ("noise_0", NUMERIC), ("flat", NUMERIC),
+                           ("noise_1", NUMERIC), ("noise_2", NUMERIC))
+        events = [
+            Event(i, 0.5, (float(i), float(noise[i, 0]), 1.0, *map(float, noise[i, 1:])))
+            for i in range(1000)
+        ]
+        result = time_correlation_filter(events, schema, seed=seed)
+        assert [(f.mic, f.shuffle_threshold, f.removed) for f in result.features] == (
+            reference_filter(events, schema, seed)
+        )
+        assert "order" in result.removed_names()
 
     def test_deterministic_for_a_seed(self):
         events, schema = _burn_in_events()
