@@ -1,15 +1,19 @@
 """Command-line surface: replay monitoring, stream generation, report viewing.
 
-Exit codes: 0 success, 1 input error (unreadable or empty stream, unknown
-alarm id), 2 configuration error (missing schema, bad config value,
-overlapping drift segments). Configuration files are flat ``key = value``
-text with dotted section prefixes; every monitoring knob is exposed under
+Exit codes: 0 success, 1 input error (unreadable, empty or non-UTF-8
+stream, unknown alarm id), 2 configuration error (missing or non-UTF-8
+schema, bad config value, overlapping drift segments). Every file is read
+and written as UTF-8. Configuration files are flat ``key = value`` text
+with dotted section prefixes; every monitoring knob is exposed under
 ``monitor.`` and every report knob under ``report.``.
 
 The replay loop owns the monitor state and runs on one thread. Each alarm
 report is built and written synchronously at its trigger, before the next
 event is read, so reports come out in trigger order. There is no report
-pool: under the interpreter lock a thread pool made runs slower.
+pool: under the interpreter lock a thread pool made runs slower. Reports
+are built by :func:`~driftwatch.explain.build_report` with the run seed, as
+a library caller would; the first one runs the MIC time filter and the
+rest reuse its result.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ import math
 import sys
 from pathlib import Path
 
-from .explain import ReportConfig, build_report, time_correlation_filter
+from .explain import ReportConfig, build_report
 from .monitor import Monitor, MonitorConfig
 from .report import write_report_files
 from .stream_model import FeatureSchema, SchemaError, StreamError, read_stream
@@ -41,6 +45,14 @@ class CliError(Exception):
     def __init__(self, message: str, exit_code: int):
         super().__init__(message)
         self.exit_code = exit_code
+
+
+def _read_text(path, what: str, exit_code: int) -> str:
+    """The UTF-8 text of a file; a missing or undecodable file is a CliError."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise CliError(f"cannot read {what}: {exc}", exit_code) from exc
 
 
 def _parse_config_lines(text: str) -> dict[str, str]:
@@ -81,11 +93,7 @@ _REPORT_FIELDS = {
 
 def load_run_config(path: str) -> tuple[MonitorConfig, ReportConfig, dict]:
     """Parse the flat config file; returns configs plus the resolved echo dict."""
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise CliError(f"cannot read config: {exc}", EXIT_CONFIG) from exc
-    raw = _parse_config_lines(text)
+    raw = _parse_config_lines(_read_text(path, "config", EXIT_CONFIG))
 
     monitor_kwargs: dict = {}
     report_kwargs: dict = {}
@@ -122,10 +130,7 @@ def load_run_config(path: str) -> tuple[MonitorConfig, ReportConfig, dict]:
 
 
 def _load_schema(path: str) -> FeatureSchema:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise CliError(f"cannot read schema: {exc}", EXIT_CONFIG) from exc
+    text = _read_text(path, "schema", EXIT_CONFIG)
     try:
         return FeatureSchema.from_json(text)
     except SchemaError as exc:
@@ -165,7 +170,6 @@ def cmd_monitor(args) -> int:
     shared_filter = None
     report_paths: dict[int, dict[str, str]] = {}
     alarm_summaries: list[dict] = []
-    events_seen = 0
     points_emitted = 0
 
     stream_format = "jsonl" if input_path.suffix == ".jsonl" else "csv"
@@ -179,7 +183,6 @@ def cmd_monitor(args) -> int:
         try:
             for event in read_stream(source, schema, stream_format):
                 point, trigger = monitor.step(event)
-                events_seen += 1
                 if point is not None:
                     points_emitted += 1
                     row = (
@@ -196,14 +199,10 @@ def cmd_monitor(args) -> int:
                 if landmark_values is not None and monitor.windows.warmed_up:
                     bisect.insort(landmark_values, monitor.signal_state.value())
                 if trigger is not None:
-                    if shared_filter is None:
-                        shared_filter = time_correlation_filter(
-                            monitor.burn_in_sample, schema, seed=[args.seed, 0]
-                        )
-                    report = build_report(
-                        trigger, schema, report_config,
-                        seed=[args.seed, trigger.alarm_index], filter_result=shared_filter,
-                    )
+                    # The first report runs the MIC filter; the rest reuse it.
+                    report = build_report(trigger, schema, report_config,
+                                          seed=args.seed, filter_result=shared_filter)
+                    shared_filter = report.filter_result
                     paths = write_report_files(
                         report, out_dir, f"alarm_{trigger.alarm_index:04d}"
                     )
@@ -222,7 +221,7 @@ def cmd_monitor(args) -> int:
         except StreamError as exc:
             raise CliError(str(exc), EXIT_INPUT) from exc
 
-    if events_seen == 0:
+    if monitor.events_seen == 0:
         raise CliError("empty stream: no events", EXIT_INPUT)
 
     valley_indices = monitor.valleys()
@@ -237,7 +236,7 @@ def cmd_monitor(args) -> int:
             },
         },
         "counts": {
-            "events": events_seen,
+            "events": monitor.events_seen,
             "signal_points": points_emitted,
             "alarms": len(alarm_summaries),
             "valleys": len(valley_indices),
@@ -251,10 +250,7 @@ def cmd_monitor(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    try:
-        text = Path(args.spec).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise CliError(f"cannot read spec: {exc}", EXIT_CONFIG) from exc
+    text = _read_text(args.spec, "spec", EXIT_CONFIG)
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -272,19 +268,20 @@ def cmd_generate(args) -> int:
 
 
 def cmd_report(args) -> int:
-    manifest_path = Path(args.run) / MANIFEST_FILE
+    text = _read_text(Path(args.run) / MANIFEST_FILE, "run manifest", EXIT_INPUT)
     try:
-        reports = json.loads(manifest_path.read_text(encoding="utf-8"))["outputs"]["reports"]
-    except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
+        reports = json.loads(text)["outputs"]["reports"]
+    except (json.JSONDecodeError, KeyError, TypeError) as exc:
         raise CliError(f"cannot read run manifest: {exc}", EXIT_INPUT) from exc
     paths = reports.get(str(args.alarm))
     if paths is None:
         raise CliError(f"unknown alarm id: {args.alarm}", EXIT_INPUT)
-    try:
-        markdown = Path(paths["markdown"]).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise CliError(f"cannot read report: {exc}", EXIT_INPUT) from exc
-    print(markdown, end="")
+    markdown = _read_text(paths["markdown"], "report", EXIT_INPUT)
+    # The file's own UTF-8 bytes, whatever the console's encoding, as cat
+    # would print them.
+    sys.stdout.flush()
+    sys.stdout.buffer.write(markdown.encode("utf-8"))
+    sys.stdout.buffer.flush()
     return EXIT_OK
 
 

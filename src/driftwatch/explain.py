@@ -29,7 +29,7 @@ from .stream_model import (
     Event,
     FeatureSchema,
 )
-from .windows import ConfigError
+from .windows import ConfigError, check_counts
 
 MIC_ESTIMATOR_NAME = "equi-frequency midrank grid search"
 SHUFFLE_ALPHA = 0.05
@@ -448,6 +448,8 @@ class ReportConfig:
     validation_max_k: int | None = None
 
     def __post_init__(self):
+        check_counts(self, ("top_importances", "top_events", "cv_folds", "validation_step",
+                            "validation_max_k"))
         if self.cv_folds < 2:
             raise ConfigError("cv_folds must be at least 2")
         if self.top_events < 0 or self.top_importances < 0:
@@ -456,12 +458,6 @@ class ReportConfig:
             raise ConfigError("validation_step must be at least 1")
         if self.validation_max_k is not None and self.validation_max_k < 0:
             raise ConfigError("validation_max_k must be non-negative")
-
-
-def _seed_list(seed) -> list[int]:
-    if isinstance(seed, (list, tuple)):
-        return [int(s) for s in seed]
-    return [int(seed)]
 
 
 def _display_cell(event: Event, column: str, schema: FeatureSchema) -> str:
@@ -477,21 +473,23 @@ def _display_cell(event: Event, column: str, schema: FeatureSchema) -> str:
 
 
 def build_report(trigger, schema: FeatureSchema, config: ReportConfig | None = None,
-                 seed=0, filter_result: MicFilterResult | None = None) -> AlarmReport:
+                 seed: int = 0, filter_result: MicFilterResult | None = None) -> AlarmReport:
     """Assemble the full explanation for one alarm trigger.
 
-    Uses the given burn-in filter result, computing it from the trigger's
-    raw burn-in sample only when absent. The validation curve uses the
-    trigger's bin count, so it starts at the trigger's signal. All
-    randomness (filter shuffles, validation removals, CV folds) derives
-    from the seed.
+    ``seed`` is the run seed, as given to ``driftwatch monitor --seed``,
+    and every stage's randomness derives from it: the filter shuffles
+    from ``[seed, 0]``, the validation curve's random removals from
+    ``[seed, alarm_index, 1]`` and the CV folds from ``[seed, alarm_index,
+    2]``. So a report built here is the one the CLI writes for the same
+    alarm. The filter runs on the trigger's burn-in sample only when no
+    ``filter_result`` is given; every trigger of a run shares that
+    sample, so the first report's ``filter_result`` serves the rest. The
+    validation curve uses the trigger's bin count, so it starts at the
+    trigger's signal.
     """
     config = config or ReportConfig()
-    seeds = _seed_list(seed)
     if filter_result is None:
-        filter_result = time_correlation_filter(
-            trigger.burn_in_sample, schema, seed=seeds + [0]
-        )
+        filter_result = time_correlation_filter(trigger.burn_in_sample, schema, seed=[seed, 0])
 
     matrix, column_warnings = encode(
         trigger.r_snapshot, trigger.t_snapshot, schema, filter_result
@@ -507,9 +505,9 @@ def build_report(trigger, schema: FeatureSchema, config: ReportConfig | None = N
         trigger.bin_count,
         step=config.validation_step,
         max_k=config.validation_max_k,
-        rng=np.random.default_rng(seeds + [1]),
+        rng=np.random.default_rng([seed, trigger.alarm_index, 1]),
     )
-    cv = gbdt.kfold_auc(matrix, k=config.cv_folds, seed=seeds + [2])
+    cv = gbdt.kfold_auc(matrix, k=config.cv_folds, seed=[seed, trigger.alarm_index, 2])
 
     event_columns = [name for name, _ in importances]
     top = ranking[: min(config.top_events, len(ranking))]

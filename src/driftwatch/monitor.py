@@ -21,7 +21,7 @@ import numpy as np
 from .divergence import DEFAULT_BIN_COUNT, IncrementalSignal
 from .spear import PercentileSketch
 from .stream_model import Event, check_score, check_timestamp
-from .windows import ConfigError, WindowPair
+from .windows import ConfigError, WindowPair, check_counts
 
 BURN_IN_SAMPLE_SIZE = 1000
 VALLEY_POOL_SIZE = 4096
@@ -68,6 +68,8 @@ class MonitorConfig:
     valley_count: int = 5
 
     def __post_init__(self):
+        check_counts(self, ("n_r", "n_t", "bin_count", "sketch_bins", "refractory_events",
+                            "min_signal_samples", "valley_count"))
         if self.n_r < 2 or self.n_t < 2:
             # Every alarm report cross-validates R against T, which needs at
             # least two rows of each window.

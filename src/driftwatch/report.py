@@ -234,7 +234,7 @@ def roc_csv(report: AlarmReport) -> str:
 
 
 def write_report_files(report: AlarmReport, directory, stem: str) -> dict[str, str]:
-    """Write the JSON, Markdown, and CSV renderings; returns their paths."""
+    """Write the JSON, Markdown, and CSV renderings as UTF-8; returns their paths."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     paths = {
@@ -243,8 +243,8 @@ def write_report_files(report: AlarmReport, directory, stem: str) -> dict[str, s
         "validation_curve": directory / f"{stem}.validation_curve.csv",
         "roc": directory / f"{stem}.roc.csv",
     }
-    paths["json"].write_text(report_to_json(report))
-    paths["markdown"].write_text(render_markdown(report))
-    paths["validation_curve"].write_text(validation_curve_csv(report))
-    paths["roc"].write_text(roc_csv(report))
+    paths["json"].write_text(report_to_json(report), encoding="utf-8")
+    paths["markdown"].write_text(render_markdown(report), encoding="utf-8")
+    paths["validation_curve"].write_text(validation_curve_csv(report), encoding="utf-8")
+    paths["roc"].write_text(roc_csv(report), encoding="utf-8")
     return {key: str(path) for key, path in paths.items()}

@@ -151,11 +151,17 @@ def check_timestamp(ts: int, previous: int | None, line_number: int | None = Non
 
 
 def check_score(score: float, line_number: int | None = None) -> None:
-    """Raise :class:`ScoreRangeError` unless the score is a finite number in [0, 1].
+    """Raise :class:`ScoreRangeError` unless the score is a finite real number in [0, 1].
 
-    A bool is not a score, although Python would compare it as 0 or 1.
+    A bool, Python's or numpy's, is not a score, although Python would
+    compare it as 0 or 1; nor is a string, None or a ``Decimal``.
     """
-    if isinstance(score, bool) or not math.isfinite(score) or not 0.0 <= score <= 1.0:
+    # The exact-type test goes first: the ABC check is far slower, and this
+    # runs twice per event.
+    if type(score) is not float and (isinstance(score, bool)
+                                     or not isinstance(score, numbers.Real)):
+        raise ScoreRangeError(f"score {score!r} is not a real number", line_number)
+    if not math.isfinite(score) or not 0.0 <= score <= 1.0:
         raise ScoreRangeError(f"score {score} outside [0, 1]", line_number)
 
 
@@ -203,17 +209,28 @@ def _event_from_row(row: list[str], extra_keys: list[str], schema: FeatureSchema
     return Event(ts, score, features, tuple(zip(extra_keys, row[2 + schema.arity:])))
 
 
-def _csv_rows(source: TextIO) -> Iterator[tuple[int, list[str]]]:
-    """Yield ``(line_number, cells)`` per CSV row, 1-based.
+def _undecodable(exc: UnicodeDecodeError) -> StreamError:
+    # No line number: the text layer decodes ahead of the line being read.
+    bad = exc.object[exc.start:exc.end]
+    return StreamError(f"stream is not valid UTF-8 ({exc.reason}: {bad!r})")
 
-    The csv module's own errors become :class:`StreamError`.
+
+def _csv_rows(source: TextIO) -> Iterator[tuple[int, list[str]]]:
+    """Yield ``(line_number, cells)`` per CSV row: the 1-based line the row starts on.
+
+    A quoted cell can hold line breaks, so a row can span lines. The csv
+    module's own errors and undecodable text become :class:`StreamError`.
     """
-    line_number = 0
+    reader = csv.reader(source)
+    line_number = 1
     try:
-        for line_number, row in enumerate(csv.reader(source), start=1):
+        for row in reader:
             yield line_number, row
+            line_number = reader.line_num + 1
     except csv.Error as exc:
-        raise StreamError(f"malformed CSV: {exc}", line_number + 1) from exc
+        raise StreamError(f"malformed CSV: {exc}", line_number) from exc
+    except UnicodeDecodeError as exc:
+        raise _undecodable(exc) from exc
 
 
 def read_csv_stream(source: TextIO, schema: FeatureSchema) -> Iterator[Event]:
@@ -273,22 +290,26 @@ def read_jsonl_stream(source: TextIO, schema: FeatureSchema) -> Iterator[Event]:
     """
     columns = ("timestamp", "score", *schema.names)
     previous_ts = None
-    for line_number, line in enumerate(source, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            doc = json.loads(line)
-        except ValueError as exc:  # also an integer past the interpreter's digit limit
-            raise StreamError(f"bad JSON: {exc}", line_number) from exc
-        if not isinstance(doc, dict) or "timestamp" not in doc or "score" not in doc:
-            raise StreamError("expected an object with timestamp and score keys", line_number)
-        extra_columns = [key for key in doc if key.startswith(EXTRA_PREFIX)]
-        row = [_json_cell(doc, key, line_number) for key in (*columns, *extra_columns)]
-        extra_keys = [key[len(EXTRA_PREFIX):] for key in extra_columns]
-        event = _event_from_row(row, extra_keys, schema, line_number, previous_ts)
-        previous_ts = event.timestamp
-        yield event
+    try:
+        for line_number, line in enumerate(source, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                doc = json.loads(line)
+            except ValueError as exc:  # also an integer past the interpreter's digit limit
+                raise StreamError(f"bad JSON: {exc}", line_number) from exc
+            if not isinstance(doc, dict) or "timestamp" not in doc or "score" not in doc:
+                raise StreamError("expected an object with timestamp and score keys",
+                                  line_number)
+            extra_columns = [key for key in doc if key.startswith(EXTRA_PREFIX)]
+            row = [_json_cell(doc, key, line_number) for key in (*columns, *extra_columns)]
+            extra_keys = [key[len(EXTRA_PREFIX):] for key in extra_columns]
+            event = _event_from_row(row, extra_keys, schema, line_number, previous_ts)
+            previous_ts = event.timestamp
+            yield event
+    except UnicodeDecodeError as exc:
+        raise _undecodable(exc) from exc
 
 
 def read_stream(source: TextIO, schema: FeatureSchema, format: str = "csv") -> Iterator[Event]:

@@ -8,6 +8,7 @@ the event evicted from T on each push is exactly the event inserted into R.
 from __future__ import annotations
 
 import math
+import numbers
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -16,6 +17,18 @@ from .stream_model import Event
 
 class ConfigError(Exception):
     """Invalid monitoring configuration value."""
+
+
+def check_counts(config, names) -> None:
+    """Raise :class:`ConfigError` unless each named field is None or an integer.
+
+    A bool or a float such as ``20.5`` is refused; numpy integers are fine.
+    """
+    for name in names:
+        value = getattr(config, name)
+        if value is not None and (isinstance(value, bool)
+                                  or not isinstance(value, numbers.Integral)):
+            raise ConfigError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -6,12 +6,16 @@ at the same function.
 
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from driftwatch import Event, Monitor, MonitorConfig
+import driftwatch
+from driftwatch import Event, FeatureSchema, Monitor, MonitorConfig, build_report, explain
 from driftwatch.cli import (
     EXIT_CONFIG,
     EXIT_INPUT,
@@ -19,8 +23,10 @@ from driftwatch.cli import (
     MANIFEST_FILE,
     SIGNAL_FILE,
     _sorted_percentile,
+    load_run_config,
     main,
 )
+from driftwatch.report import write_report_files
 from driftwatch.stream_model import read_stream
 
 BASE_SPEC = {
@@ -204,6 +210,43 @@ class TestDeterminism:
         first = generate(BASE_SPEC, tmp_path, "first")
         second = generate(BASE_SPEC, tmp_path, "second")
         assert first.read_bytes() == second.read_bytes()
+
+
+class TestLibraryReports:
+    def test_library_replay_writes_the_cli_report_bytes(self, workspace, tmp_path):
+        # Monitor(config, seed=s) plus build_report(..., seed=s) is the CLI's
+        # run with --seed s, down to the bytes of every report file.
+        directory, stream, _, manifest = workspace
+        monitor_config, report_config, _ = load_run_config(str(directory / "run_a.conf"))
+        schema_text = Path(str(stream) + ".schema.json").read_text(encoding="utf-8")
+        schema = FeatureSchema.from_json(schema_text)
+        monitor = Monitor(monitor_config, seed=3)
+        with open(stream, encoding="utf-8", newline="") as source:
+            triggers = [t for _, t in map(monitor.step, read_stream(source, schema)) if t]
+        assert len(triggers) >= 2
+        assert len(triggers) == manifest["counts"]["alarms"]
+        for trigger in triggers:
+            stem = f"alarm_{trigger.alarm_index:04d}"
+            report = build_report(trigger, schema, report_config, seed=3)
+            written = write_report_files(report, tmp_path, stem)
+            expected = manifest["outputs"]["reports"][str(trigger.alarm_index)]
+            for kind, path in written.items():
+                assert Path(path).read_bytes() == Path(expected[kind]).read_bytes(), (stem, kind)
+
+    def test_filter_runs_once_per_run(self, workspace, tmp_path, monkeypatch):
+        _, stream, _, manifest = workspace
+        assert manifest["counts"]["alarms"] >= 2
+        calls = []
+        real_filter = explain.time_correlation_filter
+
+        def counting_filter(*args, **kwargs):
+            calls.append(args)
+            return real_filter(*args, **kwargs)
+
+        monkeypatch.setattr(explain, "time_correlation_filter", counting_filter)
+        code, _ = run_monitor(stream, tmp_path, "counted")
+        assert code == EXIT_OK
+        assert len(calls) == 1
 
 
 class TestReportCommand:
@@ -391,6 +434,59 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "line 2:" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("suffix", [".csv", ".jsonl"])
+    def test_undecodable_stream_is_an_input_error(self, workspace, tmp_path, capsys, suffix):
+        _, stream, _, _ = workspace
+        if suffix == ".csv":
+            good = stream.read_bytes().splitlines(keepends=True)[:2000]
+            bad_row = b"2000,0.5,1.0,w\xffb\n"
+        else:
+            good = [json.dumps({"timestamp": i, "score": 0.5, "amount": 1.0,
+                                "channel": "web"}).encode() + b"\n" for i in range(2000)]
+            bad_row = b'{"timestamp": 2000, "score": 0.5, "channel": "w\xffb"}\n'
+        bad = tmp_path / f"bad{suffix}"
+        bad.write_bytes(b"".join(good) + bad_row)
+        config = tmp_path / "c.conf"
+        config.write_text("monitor.n_r = 1500\nmonitor.n_t = 400\n")
+        code = main(["monitor", "--input", str(bad),
+                     "--schema", str(stream) + ".schema.json",
+                     "--config", str(config), "--out", str(tmp_path / "out")])
+        assert code == EXIT_INPUT
+        err = capsys.readouterr().err
+        # The text layer decodes ahead of the row being parsed, so no line
+        # number would be the true one.
+        assert "not valid UTF-8" in err and "line" not in err
+
+    @pytest.mark.parametrize("which", ["config", "schema", "spec"])
+    def test_undecodable_setup_file_is_a_config_error(self, workspace, tmp_path, capsys,
+                                                      which):
+        _, stream, _, _ = workspace
+        undecodable = tmp_path / "latin1.txt"
+        undecodable.write_bytes("# café\n".encode("latin-1"))
+        config = tmp_path / "c.conf"
+        config.write_text("monitor.n_r = 50\nmonitor.n_t = 20\n")
+        if which == "spec":
+            args = ["generate", "--spec", str(undecodable), "--out", str(tmp_path / "o.csv")]
+        else:
+            files = {"config": str(config), "schema": str(stream) + ".schema.json",
+                     which: str(undecodable)}
+            args = ["monitor", "--input", str(stream), "--schema", files["schema"],
+                    "--config", files["config"], "--out", str(tmp_path / "out")]
+        assert main(args) == EXIT_CONFIG
+        assert f"cannot read {which}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("which", ["manifest", "markdown"])
+    def test_report_on_undecodable_file_is_an_input_error(self, tmp_path, capsys, which):
+        markdown = tmp_path / "alarm_0000.md"
+        markdown.write_bytes(b"# Alarm 0\n" if which == "manifest" else b"# Alarm \xff\n")
+        manifest = {"outputs": {"reports": {"0": {"markdown": str(markdown)}}}}
+        manifest_bytes = json.dumps(manifest).encode()
+        if which == "manifest":
+            manifest_bytes = b"\xff" + manifest_bytes
+        (tmp_path / MANIFEST_FILE).write_bytes(manifest_bytes)
+        assert main(["report", "--run", str(tmp_path), "--alarm", "0"]) == EXIT_INPUT
+        assert "cannot read" in capsys.readouterr().err
+
     def test_generate_overlapping_drifts_is_a_config_error(self, tmp_path, capsys):
         spec = dict(BASE_SPEC)
         spec["drifts"] = [
@@ -488,6 +584,51 @@ class TestConstantMemory:
         small_peak = peak_of(small, "run_small")
         big_peak = peak_of(big, "run_big")
         assert big_peak < 2 * small_peak
+
+
+def _cli_round_trip(tmp_path: Path, env: dict, flags: tuple = ()) -> bytes:
+    """Run generate, monitor and report in a fresh interpreter; returns the report's stdout.
+
+    The stream's categorical values are not ASCII.
+    """
+    spec = json.loads(json.dumps(BASE_SPEC))
+    spec["features"][1]["values"] = ["Tōkyō", "Ōsaka", "web"]
+    spec_path = tmp_path / "stream.spec.json"
+    spec_path.write_text(json.dumps(spec, ensure_ascii=False), encoding="utf-8")
+    config_path = tmp_path / "run.conf"
+    config_path.write_text(BASE_CONFIG, encoding="utf-8")
+    stream, run_dir = tmp_path / "stream.csv", tmp_path / "run"
+    source_root = str(Path(driftwatch.__file__).resolve().parents[1])
+    env = {**os.environ, **env,
+           "PYTHONPATH": os.pathsep.join(filter(None, [source_root,
+                                                       os.environ.get("PYTHONPATH")]))}
+    for args in (
+        ["generate", "--spec", str(spec_path), "--out", str(stream)],
+        ["monitor", "--input", str(stream), "--schema", f"{stream}.schema.json",
+         "--config", str(config_path), "--out", str(run_dir), "--seed", "3"],
+        ["report", "--run", str(run_dir), "--alarm", "0"],
+    ):
+        done = subprocess.run([sys.executable, *flags, "-m", "driftwatch.cli", *args],
+                              env=env, capture_output=True, timeout=300)
+        assert done.returncode == EXIT_OK, done.stderr.decode("utf-8", "replace")
+    return done.stdout
+
+
+class TestTextEncoding:
+    def test_non_ascii_values_survive_an_ascii_locale(self, tmp_path):
+        # Report files are UTF-8 whatever the locale, and report prints their bytes.
+        ascii_locale = {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+        printed = _cli_round_trip(tmp_path, ascii_locale)
+        assert printed.startswith(b"# Alarm 0")
+        assert "Tōkyō".encode("utf-8") in printed
+        markdown = (tmp_path / "run" / "alarm_0000.md").read_bytes()
+        assert printed == markdown
+
+    def test_no_text_io_relies_on_the_default_encoding(self, tmp_path):
+        printed = _cli_round_trip(
+            tmp_path, {}, ("-X", "warn_default_encoding", "-W", "error::EncodingWarning")
+        )
+        assert printed.startswith(b"# Alarm 0")
 
 
 class TestSortedPercentile:

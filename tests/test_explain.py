@@ -37,6 +37,7 @@ from driftwatch import (
 from driftwatch.divergence import ScoreHistogram, jsd
 from driftwatch.explain import MODEL_SCORE_COLUMN, _GridSearch
 from driftwatch.report import to_json_dict
+from driftwatch.windows import ConfigError
 
 from helpers import EMPTY_SCHEMA, schema_of, score_events
 from oracles import reference_filter, reference_mic
@@ -521,3 +522,29 @@ class TestBuildReport:
             warnings.simplefilter("ignore")
             built = build_report(trigger, schema, seed=4, filter_result=filt)
         assert built.filter_result is filt
+
+
+class TestReportConfig:
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(cv_folds=1),
+            dict(cv_folds=5.0),
+            dict(cv_folds=True),
+            dict(top_events=-1),
+            dict(top_events=2.5),
+            dict(top_importances=-1),
+            dict(top_importances=np.float64(3.0)),
+            dict(validation_step=0),
+            dict(validation_step=1.5),
+            dict(validation_max_k=-5),
+            dict(validation_max_k=10.0),
+        ],
+    )
+    def test_bad_settings_rejected(self, overrides):
+        with pytest.raises(ConfigError):
+            ReportConfig(**overrides)
+
+    def test_numpy_integer_counts_accepted(self):
+        config = ReportConfig(cv_folds=np.int64(3), validation_step=np.int32(2))
+        assert (config.cv_folds, config.validation_step) == (3, 2)

@@ -1,10 +1,11 @@
 """Tests for the streaming monitor and valley selection."""
 
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from driftwatch import (
@@ -62,6 +63,15 @@ class TestConfig:
             dict(valley_count=-1),
             dict(n_t=1),
             dict(n_r=1),
+            dict(n_r=20.5),
+            dict(n_t=20.0),
+            dict(n_r=True),
+            dict(bin_count=10.0),
+            dict(sketch_bins=20.5),
+            dict(refractory_events=1.5),
+            dict(min_signal_samples=np.float64(100.0)),
+            dict(valley_count=1.5),
+            dict(valley_count=np.True_),
         ],
     )
     def test_bad_settings_rejected(self, overrides):
@@ -69,6 +79,10 @@ class TestConfig:
         settings.update(overrides)
         with pytest.raises(ConfigError):
             MonitorConfig(**settings)
+
+    def test_numpy_integer_counts_accepted(self):
+        config = MonitorConfig(n_r=np.int64(50), n_t=np.int32(20), sketch_bins=np.int64(10))
+        assert config.burn_in_events == 50 + 20 + 100
 
 
 class TestEmissionGating:
@@ -421,8 +435,13 @@ class TestScoreValidation:
             st.floats(max_value=-1e-300, allow_infinity=False),
             st.floats(min_value=1.0, exclude_min=True, allow_nan=False, allow_infinity=False),
             st.booleans(),
+            st.sampled_from([np.True_, np.False_, Decimal("0.5"), "0.5", None, 1j]),
         ),
     )
+    @example(prefix=[], bad=np.True_)
+    @example(prefix=[], bad=Decimal("0.5"))
+    @example(prefix=[], bad="0.5")
+    @example(prefix=[], bad=None)
     def test_rejected_score_leaves_state_unchanged(self, prefix, bad):
         monitor = Monitor(tiny_monitor_config(), seed=3)
         for i, score in enumerate(prefix):

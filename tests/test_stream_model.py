@@ -104,6 +104,20 @@ class TestCsvReader:
             parse_csv(text)
         assert exc.value.line_number == 2
 
+    def test_error_names_the_line_a_row_starts_on(self):
+        # write_csv_stream quotes a categorical holding line breaks, so a row
+        # can span lines; the row after it starts on line 5, not record 3.
+        multiline = Event(1, 0.5, (1.0, "a\nb\nc"))
+        sink = io.StringIO()
+        write_csv_stream([multiline], AMOUNT_CHANNEL, sink)
+        assert parse_csv(sink.getvalue()) == [multiline]
+        with pytest.raises(StreamError, match="bad numeric value") as exc:
+            parse_csv(sink.getvalue() + "2,0.5,abc,web\n")
+        assert exc.value.line_number == 5
+        with pytest.raises(StreamError, match="malformed CSV") as exc:
+            parse_csv(sink.getvalue() + '2,0.5,1.0,"x\n' + "x" * 200_000 + '"\n')
+        assert exc.value.line_number == 5
+
     def test_reader_is_single_pass(self):
         text = "timestamp,score,amount,channel\n1,0.5,1,web\n2,0.5,2,pos\n"
         stream = read_csv_stream(io.StringIO(text), AMOUNT_CHANNEL)
@@ -270,6 +284,18 @@ class TestSchema:
     def test_invalid_json_rejected(self):
         with pytest.raises(SchemaError):
             FeatureSchema.from_json("{}")
+
+
+@pytest.mark.parametrize("format", ["csv", "jsonl"])
+def test_undecodable_text_is_a_stream_error_without_a_line(format):
+    # The text layer decodes ahead of the line being parsed, so the reader
+    # cannot name the line that holds the bad byte.
+    row = (b'{"timestamp": 1, "score": 0.5, "channel": "w\xffb"}\n' if format == "jsonl"
+           else b"timestamp,score,amount,channel\n1,0.5,1.0,w\xffb\n")
+    source = io.TextIOWrapper(io.BytesIO(row), encoding="utf-8", newline="")
+    with pytest.raises(StreamError, match="not valid UTF-8") as exc:
+        list(read_stream(source, AMOUNT_CHANNEL, format))
+    assert exc.value.line_number is None
 
 
 def test_normalize_numeric():
