@@ -58,7 +58,7 @@ def main() -> None:
     ]
     print(f"p95 error vs exact landmark quantile, n={args.bins} walls")
     for name, values in make_streams(args.draws, args.seed).items():
-        sketch = PercentileSketch(args.bins, "random", seed=args.seed)
+        sketch = PercentileSketch(args.bins)
         marks = iter(checkpoints)
         mark = next(marks)
         rows = []

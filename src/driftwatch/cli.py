@@ -162,7 +162,7 @@ def cmd_monitor(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    monitor = Monitor(monitor_config, seed=args.seed)
+    monitor = Monitor(monitor_config)
     digest = _sha256_of(input_path)
     signal_path = out_dir / SIGNAL_FILE
     landmark_values: list[float] | None = [] if args.debug_landmark else None
@@ -297,7 +297,11 @@ def build_parser() -> argparse.ArgumentParser:
     monitor.add_argument("--schema", required=True, help="feature schema JSON")
     monitor.add_argument("--config", required=True, help="flat key=value config file")
     monitor.add_argument("--out", required=True, help="output directory")
-    monitor.add_argument("--seed", type=int, default=0)
+    monitor.add_argument(
+        "--seed", type=int, default=0,
+        help="seeds the report stages (MIC filter shuffles, validation curve, CV "
+        "folds); the signal, threshold and alarms do not depend on it",
+    )
     monitor.add_argument(
         "--debug-landmark", action="store_true",
         help="add an exact full-history percentile column to the signal CSV; "

@@ -10,7 +10,6 @@ blocks, as in XGBoost (Chen & Guestrin, KDD 2016).
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -231,7 +230,8 @@ def fit(data: TrainingMatrix, params: GBDTParams | None = None) -> TreeEnsemble:
     importance = np.zeros(data.n_columns, dtype=np.float64)
 
     raw = np.full(data.n_rows, initial_score, dtype=np.float64)
-    losses = [_log_loss(y, _sigmoid(raw))]
+    prob = _sigmoid(raw)
+    losses = [_log_loss(y, prob)]
     if positive_rate in (0.0, 1.0):
         return TreeEnsemble(
             initial_score, [], params.learning_rate, list(data.column_names),
@@ -245,7 +245,6 @@ def fit(data: TrainingMatrix, params: GBDTParams | None = None) -> TreeEnsemble:
     split_gains: list[float] = []
     trees = []
     for _ in range(params.n_trees):
-        prob = _sigmoid(raw)
         residual = y - prob
         hessian = prob * (1.0 - prob)
         tree = _build_tree(
@@ -257,7 +256,8 @@ def fit(data: TrainingMatrix, params: GBDTParams | None = None) -> TreeEnsemble:
         # split never separates equal values, so every left row is at or
         # below the threshold and every right row above it.
         raw = raw + params.learning_rate * leaf_values
-        losses.append(_log_loss(y, _sigmoid(raw)))
+        prob = _sigmoid(raw)
+        losses.append(_log_loss(y, prob))
 
     return TreeEnsemble(
         initial_score, trees, params.learning_rate, list(data.column_names),
@@ -312,7 +312,11 @@ def roc_points(scores: np.ndarray, labels: np.ndarray) -> list[tuple[float, floa
 
 def auc(scores: np.ndarray, labels: np.ndarray) -> float:
     """Area under the tie-grouped ROC curve by the trapezoid rule."""
-    points = roc_points(scores, labels)
+    return _area(roc_points(scores, labels))
+
+
+def _area(points: list[tuple[float, float]]) -> float:
+    """Trapezoid-rule area under ROC points, in curve order."""
     area = 0.0
     for (fpr_a, tpr_a), (fpr_b, tpr_b) in zip(points, points[1:]):
         area += 0.5 * (tpr_a + tpr_b) * (fpr_b - fpr_a)
@@ -362,34 +366,8 @@ def kfold_auc(
         held = fold_of == fold
         train = TrainingMatrix(data.x[~held], data.y[~held], list(data.column_names))
         model = fit(train, params)
-        held_scores = predict_proba(model, data.x[held])
-        fold_aucs.append(auc(held_scores, data.y[held]))
-        fold_rocs.append(roc_points(held_scores, data.y[held]))
+        points = roc_points(predict_proba(model, data.x[held]), data.y[held])
+        fold_aucs.append(_area(points))
+        fold_rocs.append(points)
     return KFoldResult(float(np.mean(fold_aucs)), fold_aucs, fold_rocs, k)
-
-
-def _node_to_dict(node: TreeNode) -> dict:
-    if node.is_leaf:
-        return {"value": node.value}
-    return {
-        "feature": node.feature,
-        "threshold": node.threshold,
-        "gain": node.gain,
-        "left": _node_to_dict(node.left),
-        "right": _node_to_dict(node.right),
-    }
-
-
-def ensemble_to_json(model: TreeEnsemble) -> str:
-    return json.dumps(
-        {
-            "initial_score": model.initial_score,
-            "learning_rate": model.learning_rate,
-            "column_names": model.column_names,
-            "importance": list(model.importance),
-            "train_losses": model.train_losses,
-            "degenerate": model.degenerate,
-            "trees": [_node_to_dict(tree) for tree in model.trees],
-        }
-    )
 

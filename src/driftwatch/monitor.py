@@ -108,15 +108,18 @@ class MonitorConfig:
 
 
 class Monitor:
-    """Single-owner streaming state machine over one event stream."""
+    """Single-owner streaming state machine over one event stream.
+
+    The monitor is deterministic: the same events give the same points
+    and triggers. ``seed`` is unused; it is kept for callers that pass it.
+    """
 
     def __init__(self, config: MonitorConfig, seed: int = 0):
         self.config = config
         self.windows = WindowPair(config.n_r, config.n_t)
         self.signal_state = IncrementalSignal(config.bin_count)
-        self.sketch = PercentileSketch(config.sketch_bins, seed=seed)
+        self.sketch = PercentileSketch(config.sketch_bins)
         self.events_seen = 0
-        self.signal_samples = 0
         self.alarm_count = 0
         self.last_alarm_index: int | None = None
         self.last_timestamp: int | None = None
@@ -170,7 +173,7 @@ class Monitor:
         trigger = None
         if self.windows.warmed_up:
             value = self.signal_state.value()
-            if self.signal_samples >= self.config.signal_samples_before_emission:
+            if self.sketch.count >= self.config.signal_samples_before_emission:
                 threshold = self.sketch.percentile(self.config.threshold_percentile)
                 is_alarm = value > threshold
                 point = SignalPoint(index, event.timestamp, value, threshold, is_alarm)
@@ -185,7 +188,6 @@ class Monitor:
                     self.alarm_count += 1
                     self.last_alarm_index = index
             self.sketch.consume(value)
-            self.signal_samples += 1
 
         if index in self._requested_snapshots:
             self._requested_snapshots[index] = self.windows.snapshot()

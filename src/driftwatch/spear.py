@@ -4,28 +4,25 @@ The sketch keeps ``n + 1`` sorted positions ``P[0] .. P[n]`` interpreted as
 estimated percentile locations: ``P[0]`` tracks the running minimum,
 ``P[n]`` the running maximum, and the walls in between aim to keep the
 estimated event count equal in every bin. Each consumed value updates all
-walls in a single linear sweep over the wall list itself, in place, so
-time per event is O(n), space is O(n) regardless of how many values have
-streamed through, and no list is allocated per event.
+walls in a single left-to-right sweep over the wall list itself, in place,
+so time per event is O(n), space is O(n) regardless of how many values
+have streamed through, and no list is allocated per event. The update is
+deterministic, as in the P-squared marker update (Jain & Chlamtac, CACM
+1985): the same values give the same walls.
 
-There is one sweep rule: a seeded coin, flipped once per event, picks
-whether the walls are swept left-to-right or right-to-left; the second
-is the mirror image of the first, written on the original axis. Either
-way a wall moves right at the density of the bin above it and left at
-the density of the bin below it. Where those densities differ, as they
-do wherever the density curves through a tail, the wall settles away
-from its nominal level ``i / n``, and it does so in both directions
-alike. The bias shrinks with the bin width,
-not with more data, so :meth:`PercentileSketch.percentile` reads each
-wall at the level where its expected step is zero (:func:`wall_rank`)
-rather than at ``i / n``.
+A wall moves right at the density of the bin above it and left at the
+density of the bin below it. Where those densities differ, as they do
+wherever the density curves through a tail, the wall settles away from
+its nominal level ``i / n``. The bias shrinks with the bin width, not
+with more data, so :meth:`PercentileSketch.percentile` reads each wall at
+the level where its expected step is zero (:func:`wall_rank`) rather
+than at ``i / n``.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-import random
 
 JITTER = 1e-9
 
@@ -93,74 +90,11 @@ def _sweep_right(p: list[float], x: float, count: int) -> None:
         p[n] = x
 
 
-def _sweep_left(p: list[float], x: float, count: int) -> None:
-    """The same update applied right-to-left to ``p``, in place.
-
-    This is :func:`_sweep_right` run on the negated, reversed positions
-    and mirrored back, written out on the original axis: wall ``i`` is
-    visited from ``n - 1`` down to 1, widths are ``p[i] - p[i - 1]`` and
-    a wall moves by ``-delta / density``. IEEE negation is exact and
-    round-to-nearest is symmetric in sign, so every wall is the same
-    float as the mirrored form's, up to the sign of an exact zero.
-    """
-    n = len(p) - 1
-    c_per_bin = count / n
-    c_target = (count + 1.0) / n
-
-    c_this = c_per_bin
-    if x > p[n]:
-        p[n] = x
-    if x > p[n - 1]:
-        c_this += 1.0
-
-    for i in range(n - 1, 0, -1):
-        delta = c_target - c_this
-        right = p[i]
-        if delta > 0.0:
-            left = p[i - 1]
-            width = right - left
-            if width <= 0.0:
-                c_this = c_per_bin + (1.0 if x > left else 0.0)
-                continue
-            count_next = c_per_bin + 1.0 if x > left else c_per_bin
-            density = count_next / width
-            moved = right - delta / density
-            if moved < left:
-                moved = left
-                c_this = 0.0
-            else:
-                c_this = count_next - delta
-            p[i] = moved
-        else:
-            following = p[i + 1]
-            width = following - right
-            if width <= 0.0:
-                c_this = c_per_bin - delta
-                continue
-            density = c_this / width
-            moved = right - delta / density
-            if moved > following:
-                moved = following
-            p[i] = moved
-            c_this = c_per_bin - delta
-
-    if x < p[0]:
-        p[0] = x
-
-
 def update_percentiles(positions: list[float], x: float, count: int) -> list[float]:
-    """One left-to-right wall update (:func:`_sweep_right`) on a copy;
-    returns the new positions and leaves the input untouched."""
+    """One wall update (:func:`_sweep_right`) on a copy; returns the new
+    positions and leaves the input untouched."""
     p = list(positions)
     _sweep_right(p, x, count)
-    return p
-
-
-def update_percentiles_reversed(positions: list[float], x: float, count: int) -> list[float]:
-    """One right-to-left wall update (:func:`_sweep_left`) on a copy;
-    returns the new positions and leaves the input untouched."""
-    p = list(positions)
-    _sweep_left(p, x, count)
     return p
 
 
@@ -196,9 +130,11 @@ class PercentileSketch:
 
     The first ``n + 1`` values initialize the positions in sorted order;
     duplicates get a deterministic additive jitter so positions start
-    strictly sorted. Each later value sweeps the walls in the direction
-    a coin drawn from ``random.Random(seed)`` picks. ``policy`` names that
-    rule and accepts only ``"random"``.
+    strictly sorted. Each later value sweeps the walls left to right
+    (:func:`update_percentiles`, in place).
+
+    ``policy`` accepts only ``"random"`` and ``seed`` has no effect; both
+    are kept for callers that pass them.
     """
 
     def __init__(self, n: int = 100, policy: str = "random", seed: int = 0):
@@ -209,7 +145,6 @@ class PercentileSketch:
         self.n = n
         self.positions: list[float] = []
         self.count = 0
-        self._rng = random.Random(seed)
 
     @property
     def initialized(self) -> bool:
@@ -235,10 +170,7 @@ class PercentileSketch:
             self.count += 1
             return
 
-        if self._rng.random() < 0.5:
-            _sweep_right(self.positions, x, self.count)
-        else:
-            _sweep_left(self.positions, x, self.count)
+        _sweep_right(self.positions, x, self.count)
         self.count += 1
 
     def percentile(self, q: float) -> float:

@@ -218,10 +218,12 @@ def _undecodable(exc: UnicodeDecodeError) -> StreamError:
 def _csv_rows(source: TextIO) -> Iterator[tuple[int, list[str]]]:
     """Yield ``(line_number, cells)`` per CSV row: the 1-based line the row starts on.
 
-    A quoted cell can hold line breaks, so a row can span lines. The csv
-    module's own errors and undecodable text become :class:`StreamError`.
+    A quoted cell can hold line breaks, so a row can span lines. The reader
+    is strict, so a stray quote such as ``"x"y`` is an error rather than
+    being read as ``xy``; the csv module's errors and undecodable text
+    become :class:`StreamError`.
     """
-    reader = csv.reader(source)
+    reader = csv.reader(source, strict=True)
     line_number = 1
     try:
         for row in reader:

@@ -7,11 +7,14 @@ boosted-tree reference and the MIC grid loop are the exceptions: they are
 the per-feature, per-node numpy split search that the block search in
 ``driftwatch.gbdt`` replaced, and the grid-by-grid MIC search that the
 batched one in ``driftwatch.explain`` replaced, kept so each pair can be
-required to give identical results.
+required to give identical results. ``ensemble_to_json`` is not a
+reference: it prints a fitted ensemble as text, so two fits can be
+compared exactly.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from fractions import Fraction
 
@@ -255,6 +258,33 @@ def reference_fit(data, params=None):
     return gbdt.TreeEnsemble(
         initial_score, trees, params.learning_rate, list(data.column_names),
         importance, losses, split_gains,
+    )
+
+
+def _node_to_dict(node):
+    if node.is_leaf:
+        return {"value": node.value}
+    return {
+        "feature": node.feature,
+        "threshold": node.threshold,
+        "gain": node.gain,
+        "left": _node_to_dict(node.left),
+        "right": _node_to_dict(node.right),
+    }
+
+
+def ensemble_to_json(model):
+    """Every field of a fitted ensemble, trees included, as JSON text."""
+    return json.dumps(
+        {
+            "initial_score": model.initial_score,
+            "learning_rate": model.learning_rate,
+            "column_names": model.column_names,
+            "importance": list(model.importance),
+            "train_losses": model.train_losses,
+            "degenerate": model.degenerate,
+            "trees": [_node_to_dict(tree) for tree in model.trees],
+        }
     )
 
 

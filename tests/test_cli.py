@@ -214,13 +214,13 @@ class TestDeterminism:
 
 class TestLibraryReports:
     def test_library_replay_writes_the_cli_report_bytes(self, workspace, tmp_path):
-        # Monitor(config, seed=s) plus build_report(..., seed=s) is the CLI's
-        # run with --seed s, down to the bytes of every report file.
+        # Monitor(config) plus build_report(..., seed=s) is the CLI's run
+        # with --seed s, down to the bytes of every report file.
         directory, stream, _, manifest = workspace
         monitor_config, report_config, _ = load_run_config(str(directory / "run_a.conf"))
         schema_text = Path(str(stream) + ".schema.json").read_text(encoding="utf-8")
         schema = FeatureSchema.from_json(schema_text)
-        monitor = Monitor(monitor_config, seed=3)
+        monitor = Monitor(monitor_config)
         with open(stream, encoding="utf-8", newline="") as source:
             triggers = [t for _, t in map(monitor.step, read_stream(source, schema)) if t]
         assert len(triggers) >= 2
@@ -419,6 +419,20 @@ class TestExitCodes:
                      "--config", str(config), "--out", str(tmp_path / "out")])
         assert code == EXIT_INPUT
         assert "line 41" in capsys.readouterr().err
+
+    def test_stray_quote_in_a_row_is_an_input_error(self, workspace, tmp_path, capsys):
+        _, stream, _, _ = workspace
+        lines = stream.read_text().splitlines()
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines[:40] + ['7,0.5,1.0,"x"y']) + "\n")
+        config = tmp_path / "c.conf"
+        config.write_text("monitor.n_r = 10\nmonitor.n_t = 5\n")
+        code = main(["monitor", "--input", str(bad),
+                     "--schema", str(stream) + ".schema.json",
+                     "--config", str(config), "--out", str(tmp_path / "out")])
+        assert code == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "line 41: malformed CSV" in err and "Traceback" not in err
 
     def test_non_object_jsonl_line_is_an_input_error(self, workspace, tmp_path, capsys):
         _, stream, _, _ = workspace

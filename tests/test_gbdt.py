@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from driftwatch import gbdt
-from oracles import pair_count_auc, reference_fit
+from oracles import ensemble_to_json, pair_count_auc, reference_fit
 
 
 def matrix(x, y):
@@ -62,7 +62,7 @@ class TestFit:
         data = step_problem(seed=8)
         a = gbdt.fit(data)
         b = gbdt.fit(data)
-        assert gbdt.ensemble_to_json(a) == gbdt.ensemble_to_json(b)
+        assert ensemble_to_json(a) == ensemble_to_json(b)
 
     def test_tree_and_depth_limits(self):
         params = gbdt.GBDTParams(n_trees=7, max_depth=2)
@@ -112,8 +112,8 @@ def assert_same_ensemble(data, params):
     On a mismatch only the text around the first difference is shown;
     a full diff of two long JSON strings takes minutes.
     """
-    actual = gbdt.ensemble_to_json(gbdt.fit(data, params))
-    expected = gbdt.ensemble_to_json(reference_fit(data, params))
+    actual = ensemble_to_json(gbdt.fit(data, params))
+    expected = ensemble_to_json(reference_fit(data, params))
     if actual != expected:
         at = next(
             (i for i, (a, b) in enumerate(zip(actual, expected)) if a != b),

@@ -218,6 +218,17 @@ class TestDeterminism:
         assert [t.event_index for t in triggers_a] == [t.event_index for t in triggers_b]
         assert [t.signal for t in triggers_a] == [t.signal for t in triggers_b]
 
+    def test_seed_has_no_effect(self):
+        config = tiny_monitor_config()
+        rng = np.random.default_rng(17)
+        scores = np.concatenate([rng.uniform(0, 0.5, 1500), rng.uniform(0.5, 1, 500)])
+        monitor_a, points_a, triggers_a = run_monitor(config, scores, seed=0)
+        monitor_b, points_b, triggers_b = run_monitor(config, scores, seed=11)
+        assert triggers_a
+        assert points_a == points_b
+        assert triggers_a == triggers_b
+        assert monitor_a.sketch.positions == monitor_b.sketch.positions
+
 
 class TestSnapshots:
     def test_requested_snapshot_matches_window_arithmetic(self):
@@ -419,8 +430,7 @@ def monitor_state(monitor):
         signal.hist_r.counts.tolist(), signal.hist_r.total,
         signal.hist_t.counts.tolist(), signal.hist_t.total,
         list(monitor.sketch.positions), monitor.sketch.count,
-        monitor.sketch._rng.getstate(),
-        monitor.events_seen, monitor.signal_samples, monitor.alarm_count,
+        monitor.events_seen, monitor.alarm_count,
         monitor.last_alarm_index, monitor.burn_in_sample, monitor._next_capture,
         monitor.last_timestamp, list(pool._heap), pool._before_last, pool._last,
     )

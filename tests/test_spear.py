@@ -10,7 +10,6 @@ from driftwatch.spear import (
     PercentileSketch,
     SketchWarmupError,
     update_percentiles,
-    update_percentiles_reversed,
     wall_rank,
 )
 from oracles import sort_percentile, trace_update
@@ -36,52 +35,12 @@ class TestUpdatePercentiles:
         update_percentiles(positions, 6.0, 3)
         assert positions == [0.0, 5.0, 10.0]
 
-    def test_reversed_input_not_mutated(self):
-        positions = [0.0, 5.0, 10.0]
-        update_percentiles_reversed(positions, 4.0, 3)
-        assert positions == [0.0, 5.0, 10.0]
-
-    def test_reversed_equals_mirrored_forward_exactly(self):
-        # The right-to-left sweep is written on the original axis; it must
-        # give the very floats of the forward sweep run on the negated,
-        # reversed walls, also on tied walls and values that hit a wall.
-        rng = random.Random(12)
-        for _ in range(300):
-            n = rng.choice([2, 3, 5, 20])
-            if rng.random() < 0.5:
-                grid = [-1.0, 0.0, 0.25, 0.5, 2.0]
-                positions = sorted(rng.choice(grid) for _ in range(n + 1))
-            else:
-                positions = sorted(rng.gauss(0, 1) for _ in range(n + 1))
-            for count in range(n + 1, n + 40):
-                x = rng.choice(positions) if rng.random() < 0.3 else rng.gauss(0, 1.5)
-                mirrored = [-v for v in reversed(positions)]
-                expected = [
-                    -v for v in reversed(update_percentiles(mirrored, -x, count))
-                ]
-                actual = update_percentiles_reversed(positions, x, count)
-                assert actual == expected
-                positions = actual
-
     def test_walls_stay_sorted_on_random_updates(self):
         rng = random.Random(3)
         positions = sorted(rng.random() for _ in range(6))
         for count in range(6, 600):
             positions = update_percentiles(positions, rng.random(), count)
             assert all(a <= b for a, b in zip(positions, positions[1:]))
-
-    def test_reversed_is_mirror_of_forward(self):
-        rng = random.Random(4)
-        positions = sorted(rng.uniform(-5, 5) for _ in range(5))
-        for count in range(5, 80):
-            x = rng.uniform(-6, 6)
-            mirrored = [-v for v in reversed(positions)]
-            expected = [
-                -v for v in reversed(update_percentiles(mirrored, -x, count))
-            ]
-            actual = update_percentiles_reversed(positions, x, count)
-            assert actual == pytest.approx(expected, abs=1e-12)
-            positions = actual
 
 
 @given(
@@ -207,10 +166,8 @@ class TestWallLevels:
 
 
 class TestPolicies:
-    def test_coin_picks_the_sweep_direction(self):
-        seed = 21
-        sketch = PercentileSketch(n=8, policy="random", seed=seed)
-        coin = random.Random(seed)
+    def test_consume_applies_update_percentiles(self):
+        sketch = PercentileSketch(n=8)
         values = random.Random(8)
         warm = [values.gauss(0, 1) for _ in range(9)]
         for value in warm:
@@ -219,11 +176,18 @@ class TestPolicies:
         for count in range(9, 400):
             value = values.gauss(0, 1)
             sketch.consume(value)
-            if coin.random() < 0.5:
-                positions = update_percentiles(positions, value, count)
-            else:
-                positions = update_percentiles_reversed(positions, value, count)
+            positions = update_percentiles(positions, value, count)
             assert sketch.positions == positions
+
+    def test_seed_has_no_effect(self):
+        walls = []
+        for seed in (0, 11):
+            sketch = PercentileSketch(n=8, policy="random", seed=seed)
+            rng = random.Random(6)
+            for _ in range(300):
+                sketch.consume(rng.expovariate(1.0))
+            walls.append(sketch.positions)
+        assert walls[0] == walls[1]
 
     def test_random_policy_deterministic_per_seed(self):
         streams = []

@@ -104,6 +104,17 @@ class TestCsvReader:
             parse_csv(text)
         assert exc.value.line_number == 2
 
+    def test_stray_quote_is_rejected_not_merged(self):
+        # A lenient reader would read the last cell as "xy".
+        text = 'timestamp,score,amount,channel\n1000,0.5,1.0,web\n1001,0.5,1.0,"x"y\n'
+        with pytest.raises(StreamError, match="malformed CSV") as exc:
+            parse_csv(text)
+        assert exc.value.line_number == 3
+
+    def test_escaped_quotes_and_line_breaks_still_read(self):
+        text = 'timestamp,score,amount,channel\n1000,0.5,1.0,"say ""hi""\nthere"\n'
+        assert parse_csv(text) == [Event(1000, 0.5, (1.0, 'say "hi"\nthere'))]
+
     def test_error_names_the_line_a_row_starts_on(self):
         # write_csv_stream quotes a categorical holding line breaks, so a row
         # can span lines; the row after it starts on line 5, not record 3.
