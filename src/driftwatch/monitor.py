@@ -127,9 +127,14 @@ class Monitor:
         self._burn_in_sample: list[Event] = []
         self._capture_indices = burn_in_sample_indices(
             config.burn_in_events, BURN_IN_SAMPLE_SIZE
-        )
+        ).tolist()
         self._next_capture = 0
+        self._capture_at = self._capture_indices[0]
         self._requested_snapshots: dict[int, tuple] = {}
+        # Read on every event; the windows never shrink once warmed up.
+        self._warmed_up = False
+        self._samples_before_emission = config.signal_samples_before_emission
+        self._threshold_percentile = config.threshold_percentile
 
     @property
     def burn_in_sample(self) -> tuple[Event, ...]:
@@ -156,43 +161,47 @@ class Monitor:
         A score or timestamp the stream readers would reject raises
         before any state changes.
         """
-        check_score(event.score)
-        check_timestamp(event.timestamp, self.last_timestamp)
+        score = event.score
+        timestamp = event.timestamp
+        check_score(score)
+        check_timestamp(timestamp, self.last_timestamp)
         index = self.events_seen
-        if (
-            self._next_capture < len(self._capture_indices)
-            and index == self._capture_indices[self._next_capture]
-        ):
+        if index == self._capture_at:
             self._burn_in_sample.append(event)
             self._next_capture += 1
+            captures = self._capture_indices
+            self._capture_at = (captures[self._next_capture]
+                                if self._next_capture < len(captures) else -1)
 
-        result = self.windows.push(event)
-        self.signal_state.update(event.score, result)
+        windows = self.windows
+        self.signal_state.update(score, windows.push(event))
 
         point = None
         trigger = None
-        if self.windows.warmed_up:
+        if self._warmed_up or windows.warmed_up:
+            self._warmed_up = True
+            sketch = self.sketch
             value = self.signal_state.value()
-            if self.sketch.count >= self.config.signal_samples_before_emission:
-                threshold = self.sketch.percentile(self.config.threshold_percentile)
+            if sketch.count >= self._samples_before_emission:
+                threshold = sketch.percentile(self._threshold_percentile)
                 is_alarm = value > threshold
-                point = SignalPoint(index, event.timestamp, value, threshold, is_alarm)
+                point = SignalPoint(index, timestamp, value, threshold, is_alarm)
                 self.valley_pool.observe(point)
                 if is_alarm and self._past_refractory(index):
-                    r_snap, t_snap = self.windows.snapshot()
+                    r_snap, t_snap = windows.snapshot()
                     trigger = AlarmTrigger(
-                        self.alarm_count, index, event.timestamp, value,
+                        self.alarm_count, index, timestamp, value,
                         threshold, r_snap, t_snap, self.burn_in_sample,
                         self.config.bin_count,
                     )
                     self.alarm_count += 1
                     self.last_alarm_index = index
-            self.sketch.consume(value)
+            sketch.consume(value)
 
         if index in self._requested_snapshots:
-            self._requested_snapshots[index] = self.windows.snapshot()
-        self.last_timestamp = event.timestamp
-        self.events_seen += 1
+            self._requested_snapshots[index] = windows.snapshot()
+        self.last_timestamp = timestamp
+        self.events_seen = index + 1
         return point, trigger
 
     def valleys(self) -> list[int]:

@@ -4,11 +4,12 @@ The sketch keeps ``n + 1`` sorted positions ``P[0] .. P[n]`` interpreted as
 estimated percentile locations: ``P[0]`` tracks the running minimum,
 ``P[n]`` the running maximum, and the walls in between aim to keep the
 estimated event count equal in every bin. Each consumed value updates all
-walls in a single left-to-right sweep over the wall list itself, in place,
-so time per event is O(n), space is O(n) regardless of how many values
-have streamed through, and no list is allocated per event. The update is
-deterministic, as in the P-squared marker update (Jain & Chlamtac, CACM
-1985): the same values give the same walls.
+walls in a single left-to-right sweep over the wall list, in place, so
+time per event is O(n) and space is O(n) regardless of how many values
+have streamed through. The sweep reads each wall once, from one copy of
+the list per event, and keeps the walls it needs next in locals. The
+update is deterministic, as in the P-squared marker update (Jain &
+Chlamtac, CACM 1985): the same values give the same walls.
 
 A wall moves right at the density of the bin above it and left at the
 density of the bin below it. Where those densities differ, as they do
@@ -42,49 +43,55 @@ def _sweep_right(p: list[float], x: float, count: int) -> None:
     dense, so a wall resting on its neighbor does not move and division
     by zero never occurs. Floating-point rounding is clamped so a wall
     never crosses its neighbors.
+
+    The loop carries wall ``i`` (``left``), the not yet updated wall
+    ``i + 1`` (``right``, read from a copy of ``p[2:]``) and the already
+    updated wall ``i - 1`` (``previous``) in locals, and writes back only
+    wall ``i``. A bin holding ``x`` counts ``c_with_x``, computed once.
     """
     n = len(p) - 1
     c_per_bin = count / n
     c_target = (count + 1.0) / n
+    c_with_x = c_per_bin + 1.0
 
     c_this = c_per_bin
-    if x < p[0]:
-        p[0] = x
-    if x < p[1]:
-        c_this += 1.0
+    previous = p[0]
+    if x < previous:
+        p[0] = previous = x
+    left = p[1]
+    if x < left:
+        c_this = c_with_x
 
-    for i in range(1, n):
+    for i, right in enumerate(p[2:], 1):
         delta = c_target - c_this
-        left = p[i]
         if delta > 0.0:
-            right = p[i + 1]
+            count_next = c_with_x if x < right else c_per_bin
             width = right - left
             if width <= 0.0:
-                c_this = c_per_bin + (1.0 if x < right else 0.0)
-                continue
-            count_next = c_per_bin + 1.0 if x < right else c_per_bin
-            density = count_next / width
-            moved = left + delta / density
-            # What is left of the next bin is count_next - delta; reading it
-            # off density * (right - moved) cancels when moved nears right.
-            if moved > right:
-                moved = right
-                c_this = 0.0
+                c_this = count_next
+                previous = left
             else:
-                c_this = count_next - delta
-            p[i] = moved
+                moved = left + delta / (count_next / width)
+                # What is left of the next bin is count_next - delta; reading
+                # it off the density times (right - moved) cancels when moved
+                # nears right.
+                if moved > right:
+                    moved = right
+                    c_this = 0.0
+                else:
+                    c_this = count_next - delta
+                p[i] = previous = moved
         else:
-            previous = p[i - 1]
             width = left - previous
             if width <= 0.0:
-                c_this = c_per_bin - delta
-                continue
-            density = c_this / width
-            moved = left + delta / density
-            if moved < previous:
-                moved = previous
-            p[i] = moved
+                previous = left
+            else:
+                moved = left + delta / (c_this / width)
+                if moved < previous:
+                    moved = previous
+                p[i] = previous = moved
             c_this = c_per_bin - delta
+        left = right
 
     if x > p[n]:
         p[n] = x

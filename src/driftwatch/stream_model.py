@@ -187,10 +187,11 @@ def _event_from_row(row: list[str], extra_keys: list[str], schema: FeatureSchema
     schema feature, then one value per entry of ``extra_keys``. NUL is
     refused here, so every event read can be written as CSV.
     """
-    width = 2 + schema.arity + len(extra_keys)
+    arity = len(schema.features)
+    width = 2 + arity + len(extra_keys)
     if len(row) != width:
         raise StreamError(f"expected {width} cells, got {len(row)}", line_number)
-    if "\x00" in "".join(row) or "\x00" in "".join(extra_keys):
+    if "\x00" in "".join(row) or (extra_keys and "\x00" in "".join(extra_keys)):
         raise StreamError("cell contains NUL", line_number)
     try:
         ts = int(row[0])
@@ -202,11 +203,13 @@ def _event_from_row(row: list[str], extra_keys: list[str], schema: FeatureSchema
     except ValueError as exc:
         raise ScoreRangeError(f"score {row[1]!r} is not a number", line_number) from exc
     check_score(score, line_number)
+    if width == 2:
+        return Event(ts, score, ())
     features = tuple(
         _feature_from_cell(cell, spec, line_number)
         for cell, spec in zip(row[2:], schema.features)
     )
-    return Event(ts, score, features, tuple(zip(extra_keys, row[2 + schema.arity:])))
+    return Event(ts, score, features, tuple(zip(extra_keys, row[2 + arity:])))
 
 
 def _undecodable(exc: UnicodeDecodeError) -> StreamError:

@@ -3,6 +3,9 @@
 The target window T holds the last ``n_t`` events; the reference window R
 holds the ``n_r`` events immediately before T. The windows are contiguous:
 the event evicted from T on each push is exactly the event inserted into R.
+Each push returns a :class:`PushResult`, a named tuple naming what it
+displaced; every warm-up push that displaces nothing returns one shared
+instance.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ import math
 import numbers
 from collections import deque
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .stream_model import Event
 
@@ -31,13 +35,15 @@ def check_counts(config, names) -> None:
             raise ConfigError(f"{name} must be an integer, got {value!r}")
 
 
-@dataclass(frozen=True)
-class PushResult:
+class PushResult(NamedTuple):
     """What one push displaced: the event moved from T into R, and the
     event R discarded, if any."""
 
     moved_to_r: Event | None
     dropped: Event | None
+
+
+_NOTHING_DISPLACED = PushResult(None, None)
 
 
 @dataclass
@@ -59,15 +65,16 @@ class WindowPair:
 
     def push(self, event: Event) -> PushResult:
         """Append to T; overflow cascades T -> R -> discard."""
-        self.t_events.append(event)
-        moved = None
-        dropped = None
-        if len(self.t_events) > self.n_t:
-            moved = self.t_events.popleft()
-            self.r_events.append(moved)
-            if len(self.r_events) > self.n_r:
-                dropped = self.r_events.popleft()
-        return PushResult(moved, dropped)
+        t_events = self.t_events
+        t_events.append(event)
+        if len(t_events) <= self.n_t:
+            return _NOTHING_DISPLACED
+        moved = t_events.popleft()
+        r_events = self.r_events
+        r_events.append(moved)
+        if len(r_events) > self.n_r:
+            return PushResult(moved, r_events.popleft())
+        return PushResult(moved, None)
 
     def snapshot(self) -> tuple[tuple[Event, ...], tuple[Event, ...]]:
         """Immutable copies of (R, T), unchanged by later pushes."""

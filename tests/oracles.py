@@ -3,13 +3,14 @@
 Everything here is deliberately written in the most literal way possible,
 with pure Python (and exact rational arithmetic where it matters), so a
 bug in the production code cannot hide behind a shared formula. The
-boosted-tree reference and the MIC grid loop are the exceptions: they are
-the per-feature, per-node numpy split search that the block search in
-``driftwatch.gbdt`` replaced, and the grid-by-grid MIC search that the
-batched one in ``driftwatch.explain`` replaced, kept so each pair can be
-required to give identical results. ``ensemble_to_json`` is not a
-reference: it prints a fitted ensemble as text, so two fits can be
-compared exactly.
+boosted-tree reference, the MIC grid loop and the reference sweep are the
+exceptions: they are the per-feature, per-node numpy split search that
+the block search in ``driftwatch.gbdt`` replaced, the grid-by-grid MIC
+search that the batched one in ``driftwatch.explain`` replaced, and the
+percentile sketch's wall sweep as it read before its loop carried the
+walls in locals, kept so each pair can be required to give identical
+results. ``ensemble_to_json`` is not a reference: it prints a fitted
+ensemble as text, so two fits can be compared exactly.
 """
 
 from __future__ import annotations
@@ -69,6 +70,65 @@ def trace_update(positions, x, count):
     if value > walls[n]:
         walls[n] = value
     return [float(w) for w in walls]
+
+
+def reference_sweep(p: list[float], x: float, count: int) -> None:
+    """One left-to-right wall update of ``p``, in place.
+
+    ``count`` is the number of values consumed before ``x``. The target
+    count per bin after absorbing ``x`` is ``(count + 1) / n``; walls with
+    a deficit expand right by borrowing at the next bin's density, walls
+    past the new value's bin shed the excess into the next bin at the
+    current bin's density. Zero-width bins are treated as infinitely
+    dense, so a wall resting on its neighbor does not move and division
+    by zero never occurs. Floating-point rounding is clamped so a wall
+    never crosses its neighbors.
+    """
+    n = len(p) - 1
+    c_per_bin = count / n
+    c_target = (count + 1.0) / n
+
+    c_this = c_per_bin
+    if x < p[0]:
+        p[0] = x
+    if x < p[1]:
+        c_this += 1.0
+
+    for i in range(1, n):
+        delta = c_target - c_this
+        left = p[i]
+        if delta > 0.0:
+            right = p[i + 1]
+            width = right - left
+            if width <= 0.0:
+                c_this = c_per_bin + (1.0 if x < right else 0.0)
+                continue
+            count_next = c_per_bin + 1.0 if x < right else c_per_bin
+            density = count_next / width
+            moved = left + delta / density
+            # What is left of the next bin is count_next - delta; reading it
+            # off density * (right - moved) cancels when moved nears right.
+            if moved > right:
+                moved = right
+                c_this = 0.0
+            else:
+                c_this = count_next - delta
+            p[i] = moved
+        else:
+            previous = p[i - 1]
+            width = left - previous
+            if width <= 0.0:
+                c_this = c_per_bin - delta
+                continue
+            density = c_this / width
+            moved = left + delta / density
+            if moved < previous:
+                moved = previous
+            p[i] = moved
+            c_this = c_per_bin - delta
+
+    if x > p[n]:
+        p[n] = x
 
 
 def sort_percentile(values, q):

@@ -1,16 +1,19 @@
 """Histogram construction and the JSD signal."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from driftwatch import IncrementalSignal, ScoreHistogram, WindowPair, jsd, signal
+from driftwatch import Event, IncrementalSignal, ScoreHistogram, WindowPair, jsd, signal
 from driftwatch.divergence import (
     EmptyWindowError,
     IncompatibleHistogramsError,
     bin_of,
 )
+from driftwatch.windows import PushResult
 from helpers import score_events
 from oracles import batch_jsd, histogram_counts
 
@@ -58,6 +61,87 @@ class TestHistogram:
     def test_score_one_lands_in_last_bin(self):
         assert bin_of(1.0, 100) == 99
         assert bin_of(0.9999999, 100) == 99
+
+
+def incremental_state(incremental):
+    return (list(incremental.hist_r.counts), incremental.hist_r.total,
+            list(incremental.hist_t.counts), incremental.hist_t.total,
+            list(incremental.r_bins), list(incremental.t_bins))
+
+
+OUT_OF_RANGE = [-0.01, -0.5, 7.0, 1.0000000000000002, -math.inf, math.inf, math.nan]
+
+
+@pytest.mark.parametrize("score", OUT_OF_RANGE)
+class TestOutOfRangeScore:
+    """Binning refuses a score outside [0, 1], naming it, before any count changes."""
+
+    def test_bin_of(self, score):
+        with pytest.raises(ValueError, match=rf"score {score!r} outside"):
+            bin_of(score, 100)
+
+    def test_add(self, score):
+        hist = ScoreHistogram.from_scores([0.5, 0.995], bin_count=100)
+        with pytest.raises(ValueError, match=rf"score {score!r} outside"):
+            hist.add(score)
+        assert hist == ScoreHistogram.from_scores([0.5, 0.995], bin_count=100)
+
+    def test_remove(self, score):
+        hist = ScoreHistogram.from_scores([0.5, 0.995], bin_count=100)
+        with pytest.raises(ValueError, match=rf"score {score!r} outside"):
+            hist.remove(score)
+        assert hist == ScoreHistogram.from_scores([0.5, 0.995], bin_count=100)
+
+    def test_from_scores(self, score):
+        with pytest.raises(ValueError, match=rf"score {score!r} outside"):
+            ScoreHistogram.from_scores([0.5, score], bin_count=100)
+
+    def test_signal(self, score):
+        pair = WindowPair(3, 2)
+        for event in [Event(0, score, ()), *score_events([0.5] * 4, start_ts=1)]:
+            pair.push(event)
+        with pytest.raises(ValueError, match=rf"score {score!r} outside"):
+            signal(pair, bin_count=100)
+
+    def test_update(self, score):
+        pair = WindowPair(3, 2)
+        incremental = IncrementalSignal(100)
+        for event in score_events([0.2, 0.4, 0.6, 0.8, 0.9]):
+            incremental.update(event.score, pair.push(event))
+        before = incremental_state(incremental)
+        with pytest.raises(ValueError, match=rf"score {score!r} outside"):
+            incremental.update(score, pair.push(Event(5, score, ())))
+        assert incremental_state(incremental) == before
+
+
+class TestCachedBins:
+    def test_fresh_signal_refuses_a_warm_pairs_push(self):
+        pair = WindowPair(3, 2)
+        for event in score_events([0.1] * 5):
+            pair.push(event)
+        incremental = IncrementalSignal(4)
+        result = pair.push(Event(5, 0.9, ()))
+        assert result.moved_to_r is not None and result.dropped is not None
+        with pytest.raises(ValueError, match="out of T"):
+            incremental.update(0.9, result)
+        assert incremental_state(incremental) == ([0] * 4, 0, [0] * 4, 0, [], [])
+
+    def test_drop_refused_while_r_holds_none(self):
+        incremental = IncrementalSignal(4)
+        first, second, third = score_events([0.1, 0.5, 0.9])
+        incremental.update(first.score, PushResult(None, None))
+        before = incremental_state(incremental)
+        with pytest.raises(ValueError, match="from R"):
+            incremental.update(third.score, PushResult(first, second))
+        assert incremental_state(incremental) == before
+
+    def test_indices_follow_the_windows(self):
+        pair = WindowPair(3, 2)
+        incremental = IncrementalSignal(10)
+        for event in score_events([0.05, 0.15, 0.25, 0.35, 0.45, 0.55, 1.0]):
+            incremental.update(event.score, pair.push(event))
+        assert list(incremental.r_bins) == [2, 3, 4]
+        assert list(incremental.t_bins) == [5, 9]
 
 
 class TestJsd:

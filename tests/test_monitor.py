@@ -427,11 +427,13 @@ def monitor_state(monitor):
     return (
         list(monitor.windows.r_events),
         list(monitor.windows.t_events),
-        signal.hist_r.counts.tolist(), signal.hist_r.total,
-        signal.hist_t.counts.tolist(), signal.hist_t.total,
+        list(signal.hist_r.counts), signal.hist_r.total,
+        list(signal.hist_t.counts), signal.hist_t.total,
+        list(signal.r_bins), list(signal.t_bins),
         list(monitor.sketch.positions), monitor.sketch.count,
         monitor.events_seen, monitor.alarm_count,
         monitor.last_alarm_index, monitor.burn_in_sample, monitor._next_capture,
+        monitor._capture_at, monitor._warmed_up,
         monitor.last_timestamp, list(pool._heap), pool._before_last, pool._last,
     )
 

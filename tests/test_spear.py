@@ -12,7 +12,7 @@ from driftwatch.spear import (
     update_percentiles,
     wall_rank,
 )
-from oracles import sort_percentile, trace_update
+from oracles import reference_sweep, sort_percentile, trace_update
 
 
 class TestUpdatePercentiles:
@@ -59,6 +59,61 @@ def test_forward_update_matches_rational_oracle(n, seed):
         assert actual == pytest.approx(expected, abs=1e-12)
         positions = actual
         count += 1
+
+
+def _stream(kind, rng, size):
+    if kind == "repeated":
+        return [rng.choice((0.25, 0.5, 0.5, 0.75)) for _ in range(size)]
+    if kind == "zero_one":
+        return [rng.choice((0.0, 1.0)) if rng.random() < 0.9 else rng.random()
+                for _ in range(size)]
+    if kind == "outliers":
+        return [rng.choice((-1e300, 1e300)) if rng.random() < 0.05 else rng.gauss(0.0, 1.0)
+                for _ in range(size)]
+    # Every value falls below the lowest wall or above the highest.
+    return [(-1.0) ** i * i for i in range(size)]
+
+
+class TestReferenceSweep:
+    """``consume`` moves the walls exactly as the reference sweep does."""
+
+    def replay(self, sketch, values):
+        walls = list(sketch.positions)
+        for x in values:
+            reference_sweep(walls, x, sketch.count)
+            sketch.consume(x)
+            assert sketch.positions == walls
+
+    @pytest.mark.parametrize("n", [2, 3, 100])
+    @pytest.mark.parametrize("kind", ["repeated", "zero_one", "outliers", "beyond"])
+    def test_streams(self, n, kind):
+        values = _stream(kind, random.Random(n), 2_000)
+        sketch = PercentileSketch(n)
+        for x in values[: n + 1]:
+            sketch.consume(x)
+        self.replay(sketch, values[n + 1:])
+
+    @pytest.mark.parametrize("n", [2, 3, 100])
+    def test_zero_width_bins(self, n):
+        # Walls resting on one another. Warm-up jitters ties apart, so the
+        # walls are set directly.
+        rng = random.Random(n)
+        sketch = PercentileSketch(n)
+        for _ in range(n + 1):
+            sketch.consume(rng.random())
+        sketch.positions = [0.25] + [0.5] * n
+        values = [0.5, 0.75] + _stream("repeated", rng, 500) + _stream("beyond", rng, 50)
+        self.replay(sketch, values)
+
+    @pytest.mark.parametrize("n", [2, 3, 100])
+    def test_clamped_walls(self, n):
+        # consume always passes count > n; only a smaller count leaves a
+        # deficit larger than the next bin, so a wall clamps onto it.
+        walls = [float(i) for i in range(n + 1)]
+        for count, x in ((0.5, n - 0.5), (0.5, 10.0 * n), (1, -5.0)):
+            expected = list(walls)
+            reference_sweep(expected, x, count)
+            assert update_percentiles(walls, x, count) == expected
 
 
 class TestInitialization:
