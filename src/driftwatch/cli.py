@@ -19,10 +19,8 @@ rest reuse its result.
 from __future__ import annotations
 
 import argparse
-import bisect
 import hashlib
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -145,14 +143,6 @@ def _sha256_of(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _sorted_percentile(values: list[float], q: float) -> float:
-    rank = q / 100.0 * (len(values) - 1)
-    low = math.floor(rank)
-    high = min(low + 1, len(values) - 1)
-    frac = rank - low
-    return values[low] * (1.0 - frac) + values[high] * frac
-
-
 def cmd_monitor(args) -> int:
     schema = _load_schema(args.schema)
     monitor_config, report_config, echo = load_run_config(args.config)
@@ -162,10 +152,9 @@ def cmd_monitor(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    monitor = Monitor(monitor_config)
+    monitor = Monitor(monitor_config, seed=args.seed)
     digest = _sha256_of(input_path)
     signal_path = out_dir / SIGNAL_FILE
-    landmark_values: list[float] | None = [] if args.debug_landmark else None
 
     shared_filter = None
     report_paths: dict[int, dict[str, str]] = {}
@@ -173,31 +162,20 @@ def cmd_monitor(args) -> int:
     points_emitted = 0
 
     stream_format = "jsonl" if input_path.suffix == ".jsonl" else "csv"
-    header = "event_index,timestamp,signal,threshold,is_alarm"
-    if landmark_values is not None:
-        header += ",landmark"
 
     with open(input_path, "r", encoding="utf-8", newline="") as source, \
             open(signal_path, "w", encoding="utf-8", newline="") as sink:
-        sink.write(header + "\n")
+        sink.write("event_index,timestamp,signal,threshold,is_alarm\n")
         try:
             for event in read_stream(source, schema, stream_format):
                 point, trigger = monitor.step(event)
                 if point is not None:
                     points_emitted += 1
-                    row = (
+                    sink.write(
                         f"{point.event_index},{point.timestamp},"
                         f"{point.signal!r},{point.threshold!r},"
-                        f"{1 if point.is_alarm else 0}"
+                        f"{1 if point.is_alarm else 0}\n"
                     )
-                    if landmark_values is not None:
-                        landmark = _sorted_percentile(
-                            landmark_values, monitor_config.threshold_percentile
-                        )
-                        row += f",{landmark!r}"
-                    sink.write(row + "\n")
-                if landmark_values is not None and monitor.windows.warmed_up:
-                    bisect.insort(landmark_values, monitor.signal_state.value())
                 if trigger is not None:
                     # The first report runs the MIC filter; the rest reuse it.
                     report = build_report(trigger, schema, report_config,
@@ -216,6 +194,7 @@ def cmd_monitor(args) -> int:
                             "timestamp": trigger.timestamp,
                             "signal": trigger.signal,
                             "threshold": trigger.threshold,
+                            "threshold_audit": monitor.threshold_audit(trigger.threshold),
                         }
                     )
         except StreamError as exc:
@@ -243,6 +222,7 @@ def cmd_monitor(args) -> int:
         },
         "valleys": valley_indices,
         "alarms": alarm_summaries,
+        "threshold_audit": monitor.threshold_audit(),
     }
     (out_dir / MANIFEST_FILE).write_text(json.dumps(manifest, indent=2) + "\n",
                                          encoding="utf-8")
@@ -271,12 +251,17 @@ def cmd_report(args) -> int:
     text = _read_text(Path(args.run) / MANIFEST_FILE, "run manifest", EXIT_INPUT)
     try:
         reports = json.loads(text)["outputs"]["reports"]
+        if not isinstance(reports, dict):
+            raise TypeError("outputs.reports is not an object")
+        paths = reports.get(str(args.alarm))
+        if paths is None:
+            raise CliError(f"unknown alarm id: {args.alarm}", EXIT_INPUT)
+        markdown_path = paths["markdown"]
+        if not isinstance(markdown_path, str):
+            raise TypeError("report path is not a string")
     except (json.JSONDecodeError, KeyError, TypeError) as exc:
         raise CliError(f"cannot read run manifest: {exc}", EXIT_INPUT) from exc
-    paths = reports.get(str(args.alarm))
-    if paths is None:
-        raise CliError(f"unknown alarm id: {args.alarm}", EXIT_INPUT)
-    markdown = _read_text(paths["markdown"], "report", EXIT_INPUT)
+    markdown = _read_text(markdown_path, "report", EXIT_INPUT)
     # The file's own UTF-8 bytes, whatever the console's encoding, as cat
     # would print them.
     sys.stdout.flush()
@@ -300,13 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
     monitor.add_argument(
         "--seed", type=int, default=0,
         help="seeds the report stages (MIC filter shuffles, validation curve, CV "
-        "folds); the signal, threshold and alarms do not depend on it",
-    )
-    monitor.add_argument(
-        "--debug-landmark", action="store_true",
-        help="add an exact full-history percentile column to the signal CSV; "
-        "keeps every signal value in a sorted list, so it costs O(n^2) time "
-        "and O(n) memory over n events",
+        "folds) and the threshold audit's sample; the signal, threshold and "
+        "alarms do not depend on it",
     )
     monitor.set_defaults(handler=cmd_monitor)
 

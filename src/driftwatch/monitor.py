@@ -8,11 +8,15 @@ raise the bar against itself. Alarms snapshot both windows for the
 explanation pipeline and then go quiet for a refractory period. Each
 emitted point also enters a bounded pool of the signal's lowest local
 minima, from which :meth:`Monitor.valleys` picks quiet control points.
+Every consumed signal value may also enter a bounded uniform sample,
+against which :meth:`Monitor.threshold_audit` checks a threshold.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
+import random
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -25,6 +29,7 @@ from .windows import ConfigError, WindowPair, check_counts
 
 BURN_IN_SAMPLE_SIZE = 1000
 VALLEY_POOL_SIZE = 4096
+AUDIT_SAMPLE_SIZE = 4096
 
 
 @dataclass(frozen=True)
@@ -110,8 +115,10 @@ class MonitorConfig:
 class Monitor:
     """Single-owner streaming state machine over one event stream.
 
-    The monitor is deterministic: the same events give the same points
-    and triggers. ``seed`` is unused; it is kept for callers that pass it.
+    The signal, threshold and alarms do not depend on the seed: the same
+    events give the same points and triggers. ``seed`` seeds the only
+    random numbers the monitor draws, which pick the threshold audit's
+    sample (:meth:`threshold_audit`).
     """
 
     def __init__(self, config: MonitorConfig, seed: int = 0):
@@ -124,6 +131,8 @@ class Monitor:
         self.last_alarm_index: int | None = None
         self.last_timestamp: int | None = None
         self.valley_pool = ValleyPool(max(VALLEY_POOL_SIZE, 8 * config.valley_count))
+        self.audit_sample: list[float] = []
+        self._audit_rng = random.Random(seed)
         self._burn_in_sample: list[Event] = []
         self._capture_indices = burn_in_sample_indices(
             config.burn_in_events, BURN_IN_SAMPLE_SIZE
@@ -196,7 +205,18 @@ class Monitor:
                     )
                     self.alarm_count += 1
                     self.last_alarm_index = index
+            consumed = sketch.count
             sketch.consume(value)
+            # Algorithm R (Vitter 1985): every consumed value is in the
+            # sample with probability AUDIT_SAMPLE_SIZE / sketch.count. The
+            # slot is floor(u * (consumed + 1)) for one uniform u, which
+            # costs half a randrange call.
+            if consumed < AUDIT_SAMPLE_SIZE:
+                self.audit_sample.append(value)
+            else:
+                slot = self._audit_rng.random() * (consumed + 1)
+                if slot < AUDIT_SAMPLE_SIZE:
+                    self.audit_sample[int(slot)] = value
 
         if index in self._requested_snapshots:
             self._requested_snapshots[index] = windows.snapshot()
@@ -215,6 +235,37 @@ class Monitor:
             return []
         cutoff = self.sketch.percentile(self.config.valley_percentile)
         return self.valley_pool.select(self.config.valley_count, self.config.n_t, cutoff)
+
+    def threshold_audit(self, threshold: float | None = None) -> dict | None:
+        """How the consumed signal values sit against ``threshold``.
+
+        ``threshold`` defaults to the sketch's ``threshold_percentile``
+        read now. ``share`` is the fraction of the audit sample at or
+        below it, an estimate of the fraction of all ``consumed`` values
+        at or below it. ``interval`` is the 95% normal-approximation
+        interval of that estimate, with the finite-population factor
+        ``sqrt((consumed - sample_size) / (consumed - 1))``, so it has zero
+        width while the sample holds every consumed value; it is clipped
+        to [0, 1]. None while the sketch is not initialized.
+        """
+        if not self.sketch.initialized:
+            return None
+        if threshold is None:
+            threshold = self.sketch.percentile(self._threshold_percentile)
+        sample = self.audit_sample
+        size = len(sample)
+        consumed = self.sketch.count
+        share = sum(value <= threshold for value in sample) / size
+        half_width = 1.96 * math.sqrt(
+            share * (1.0 - share) / size * (consumed - size) / (consumed - 1)
+        )
+        return {
+            "threshold": threshold,
+            "share": share,
+            "interval": [max(0.0, share - half_width), min(1.0, share + half_width)],
+            "sample_size": size,
+            "consumed": consumed,
+        }
 
     def _past_refractory(self, index: int) -> bool:
         if self.last_alarm_index is None:

@@ -132,6 +132,11 @@ def wall_rank(positions: list[float], i: int, beta: float) -> float:
     return i + beta * i * (n - i) * (above - below) / mass
 
 
+def _spans_finitely(positions: list[float], x: float) -> bool:
+    """Whether the walls, stretched to hold ``x``, span a finite width."""
+    return math.isfinite(max(positions[-1], x) - min(positions[0], x))
+
+
 class PercentileSketch:
     """Streaming percentile estimator over a scalar value stream.
 
@@ -158,17 +163,25 @@ class PercentileSketch:
         return self.count >= self.n + 1
 
     def _insert_initial(self, x: float) -> None:
+        p = self.positions
         value = x
-        while True:
-            at = bisect.bisect_left(self.positions, value)
-            if at < len(self.positions) and self.positions[at] == value:
-                value += JITTER * (1.0 + abs(value))
-                continue
-            self.positions.insert(at, value)
-            return
+        at = bisect.bisect_left(p, value)
+        while at < len(p) and p[at] == value:
+            value += JITTER * (1.0 + abs(value))
+            at = bisect.bisect_left(p, value)
+        if p and not _spans_finitely(p, value):
+            raise ValueError(f"rejected value {x!r}: with its warm-up jitter the "
+                             "walls would span more than the largest float")
+        p.insert(at, value)
 
     def consume(self, x: float) -> None:
-        """Feed one value; the walls update in place in one pass."""
+        """Feed one value; the walls update in place in one pass.
+
+        A value is refused with ``ValueError``, before any state changes
+        and without being counted, when it is not finite or when it, or
+        its warm-up jitter, would stretch the walls over a span that
+        overflows: the sweep divides by bin widths, which must stay finite.
+        """
         x = float(x)
         if not math.isfinite(x):
             raise ValueError(f"rejected value {x!r}: must be finite")
@@ -177,7 +190,11 @@ class PercentileSketch:
             self.count += 1
             return
 
-        _sweep_right(self.positions, x, self.count)
+        p = self.positions
+        if not p[0] <= x <= p[-1] and not _spans_finitely(p, x):
+            raise ValueError(f"rejected value {x!r}: the walls would span more "
+                             "than the largest float")
+        _sweep_right(p, x, self.count)
         self.count += 1
 
     def percentile(self, q: float) -> float:

@@ -73,6 +73,9 @@ class FeatureSpec:
     kind: str
 
     def __post_init__(self):
+        if not isinstance(self.name, str):
+            # A CSV header is text: any other name can never match a column.
+            raise SchemaError(f"feature name {self.name!r} is not a string")
         if self.kind not in _KINDS:
             raise SchemaError(f"unknown feature kind {self.kind!r} for {self.name!r}")
 

@@ -22,7 +22,6 @@ from driftwatch.cli import (
     EXIT_OK,
     MANIFEST_FILE,
     SIGNAL_FILE,
-    _sorted_percentile,
     load_run_config,
     main,
 )
@@ -199,7 +198,8 @@ class TestDeterminism:
         assert (run_a / SIGNAL_FILE).read_bytes() == (run_b / SIGNAL_FILE).read_bytes()
 
         manifest_b = json.loads((run_b / MANIFEST_FILE).read_text())
-        for key in ("config", "input_digest", "seed", "counts", "valleys", "alarms"):
+        for key in ("config", "input_digest", "seed", "counts", "valleys", "alarms",
+                    "threshold_audit"):
             assert manifest_a[key] == manifest_b[key]
         for alarm_id, paths_a in manifest_a["outputs"]["reports"].items():
             paths_b = manifest_b["outputs"]["reports"][alarm_id]
@@ -210,6 +210,70 @@ class TestDeterminism:
         first = generate(BASE_SPEC, tmp_path, "first")
         second = generate(BASE_SPEC, tmp_path, "second")
         assert first.read_bytes() == second.read_bytes()
+
+
+class TestThresholdAudit:
+    AUDIT_CONFIG = (
+        "monitor.n_r = 300\nmonitor.n_t = 100\nmonitor.bin_count = 10\n"
+        "monitor.sketch_bins = 20\nmonitor.min_signal_samples = 200\n"
+        "monitor.refractory_events = 2500\n"
+    )
+
+    @pytest.mark.filterwarnings("ignore:burn-in has")
+    def test_audit_brackets_the_exact_share(self, tmp_path):
+        # A full-history replay finds the exact share of consumed signal
+        # values at or below each audited threshold: at each trigger and at
+        # the end. The stream outgrows the sample, so the interval is open.
+        spec = {
+            "events": 12000, "seed": 9,
+            "score": {"weight": 0.9, "a1": 1.5, "b1": 12.0, "a2": 6.0, "b2": 3.0},
+            "drifts": [{
+                "start": 6000, "length": 1500,
+                "score": {"weight": 0.1, "a1": 1.5, "b1": 12.0, "a2": 12.0, "b2": 2.5},
+            }],
+        }
+        stream = generate(spec, tmp_path)
+        code, run_dir = run_monitor(stream, tmp_path, "run", config=self.AUDIT_CONFIG, seed=2)
+        assert code == EXIT_OK
+        manifest = json.loads((run_dir / MANIFEST_FILE).read_text())
+
+        monitor_config, _, _ = load_run_config(str(tmp_path / "run.conf"))
+        monitor = Monitor(monitor_config)
+        history = []
+        exact_at_alarm = []
+        with open(stream, encoding="utf-8", newline="") as handle:
+            for event in read_stream(handle, FeatureSchema(())):
+                _, trigger = monitor.step(event)
+                if monitor.windows.warmed_up:
+                    history.append(monitor.signal_state.value())
+                if trigger is not None:
+                    exact_at_alarm.append(
+                        sum(v <= trigger.threshold for v in history) / len(history)
+                    )
+        final_threshold = manifest["threshold_audit"]["threshold"]
+        exact_at_end = sum(v <= final_threshold for v in history) / len(history)
+
+        audits = [alarm["threshold_audit"] for alarm in manifest["alarms"]]
+        assert len(audits) == len(exact_at_alarm) >= 2
+        assert [a["threshold"] for a in audits] == [a["threshold"] for a in manifest["alarms"]]
+        audits.append(manifest["threshold_audit"])
+        assert audits[-1]["consumed"] == len(history) > audits[-1]["sample_size"] == 4096
+        for audit, exact in zip(audits, exact_at_alarm + [exact_at_end]):
+            low, high = audit["interval"]
+            share = audit["share"]
+            half_width = max(share - low, high - share)
+            assert low <= share <= high
+            assert abs(exact - share) <= 3 * half_width, (audit, exact)
+
+    def test_stream_too_short_for_the_sketch_writes_null(self, tmp_path):
+        spec = {"events": 410, "seed": 9,
+                "score": {"weight": 0.9, "a1": 1.5, "b1": 12.0, "a2": 6.0, "b2": 3.0}}
+        stream = generate(spec, tmp_path)
+        code, run_dir = run_monitor(stream, tmp_path, "run", config=self.AUDIT_CONFIG)
+        assert code == EXIT_OK
+        manifest = json.loads((run_dir / MANIFEST_FILE).read_text())
+        assert manifest["threshold_audit"] is None
+        assert manifest["alarms"] == []
 
 
 class TestLibraryReports:
@@ -280,6 +344,28 @@ class TestExitCodes:
                      "--config", str(config), "--out", str(tmp_path / "out")])
         assert code == EXIT_CONFIG
         assert "cannot read schema" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", [["a"], 5])
+    def test_feature_name_that_is_not_a_string_is_a_config_error(
+        self, workspace, tmp_path, capsys, name
+    ):
+        _, stream, _, _ = workspace
+        schema = tmp_path / "schema.json"
+        schema.write_text(json.dumps({"features": [{"name": name, "kind": "numeric"}]}))
+        config = tmp_path / "c.conf"
+        config.write_text("monitor.n_r = 50\nmonitor.n_t = 20\n")
+        code = main(["monitor", "--input", str(stream), "--schema", str(schema),
+                     "--config", str(config), "--out", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "not a string" in err
+        assert "Traceback" not in err
+
+    def test_removed_debug_landmark_flag_is_unknown(self, workspace, tmp_path, capsys):
+        _, stream, _, _ = workspace
+        code, _ = run_monitor(stream, tmp_path, "run", extra=["--debug-landmark"])
+        assert code == 2
+        assert "unrecognized arguments: --debug-landmark" in capsys.readouterr().err
 
     def test_invalid_schema_json_is_a_config_error(self, workspace, tmp_path):
         _, stream, _, _ = workspace
@@ -489,6 +575,16 @@ class TestExitCodes:
         assert main(args) == EXIT_CONFIG
         assert f"cannot read {which}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("reports", [
+        [{"markdown": "alarm_0000.md"}],
+        {"0": {"json": "alarm_0000.json"}},
+    ], ids=["reports-is-a-list", "entry-without-markdown"])
+    def test_report_on_malformed_manifest_is_an_input_error(self, tmp_path, capsys, reports):
+        manifest = {"outputs": {"reports": reports}}
+        (tmp_path / MANIFEST_FILE).write_text(json.dumps(manifest), encoding="utf-8")
+        assert main(["report", "--run", str(tmp_path), "--alarm", "0"]) == EXIT_INPUT
+        assert "cannot read run manifest" in capsys.readouterr().err
+
     @pytest.mark.parametrize("which", ["manifest", "markdown"])
     def test_report_on_undecodable_file_is_an_input_error(self, tmp_path, capsys, which):
         markdown = tmp_path / "alarm_0000.md"
@@ -525,51 +621,6 @@ class TestExitCodes:
         code = main(["generate", "--spec", str(tmp_path / "none.json"),
                      "--out", str(tmp_path / "out.csv")])
         assert code == EXIT_CONFIG
-
-
-class TestDebugLandmark:
-    @pytest.mark.filterwarnings("ignore:burn-in has")
-    def test_landmark_column_is_the_exact_percentile(self, tmp_path):
-        spec = {
-            "events": 1500, "seed": 9,
-            "score": {"weight": 0.9, "a1": 1.5, "b1": 12.0, "a2": 6.0, "b2": 3.0},
-        }
-        stream = generate(spec, tmp_path)
-        config = (
-            "monitor.n_r = 300\nmonitor.n_t = 100\nmonitor.bin_count = 10\n"
-            "monitor.sketch_bins = 20\nmonitor.min_signal_samples = 200\n"
-        )
-        code, run_dir = run_monitor(stream, tmp_path, "run", config=config, seed=2,
-                                    extra=["--debug-landmark"])
-        assert code == EXIT_OK
-
-        lines = (run_dir / SIGNAL_FILE).read_text().splitlines()
-        assert lines[0].endswith(",landmark")
-
-        monitor_config = MonitorConfig(n_r=300, n_t=100, bin_count=10,
-                                       sketch_bins=20, min_signal_samples=200)
-        monitor = Monitor(monitor_config, seed=2)
-        with open(stream, encoding="utf-8") as handle:
-            events = list(read_stream(handle, _empty_schema(), "csv"))
-        expected = {}
-        history = []
-        for event in events:
-            point, _ = monitor.step(event)
-            if point is not None:
-                expected[point.event_index] = _sorted_percentile(
-                    sorted(history), monitor_config.threshold_percentile
-                )
-            if monitor.windows.warmed_up:
-                history.append(monitor.signal_state.value())
-        for line in lines[1:]:
-            cells = line.split(",")
-            assert float(cells[5]) == expected[int(cells[0])]
-
-
-def _empty_schema():
-    from driftwatch import FeatureSchema
-
-    return FeatureSchema(())
 
 
 class TestConstantMemory:
@@ -643,12 +694,3 @@ class TestTextEncoding:
             tmp_path, {}, ("-X", "warn_default_encoding", "-W", "error::EncodingWarning")
         )
         assert printed.startswith(b"# Alarm 0")
-
-
-class TestSortedPercentile:
-    def test_interpolates_between_order_statistics(self):
-        values = [1.0, 2.0, 3.0, 4.0, 5.0]
-        assert _sorted_percentile(values, 50.0) == 3.0
-        assert _sorted_percentile(values, 0.0) == 1.0
-        assert _sorted_percentile(values, 100.0) == 5.0
-        assert math.isclose(_sorted_percentile(values, 90.0), 4.6)

@@ -16,7 +16,7 @@ from driftwatch import (
     SignalPoint,
     select_valleys,
 )
-from driftwatch.monitor import ValleyPool
+from driftwatch.monitor import AUDIT_SAMPLE_SIZE, ValleyPool
 from driftwatch.stream_model import ScoreRangeError, StreamError, TimestampOrderError
 from driftwatch.windows import ConfigError
 
@@ -230,6 +230,76 @@ class TestDeterminism:
         assert monitor_a.sketch.positions == monitor_b.sketch.positions
 
 
+class TestThresholdAudit:
+    def consumed_values(self, config, scores, seed):
+        """Run the monitor, returning it and every signal value its sketch consumed."""
+        monitor = Monitor(config, seed=seed)
+        consumed = []
+        for i, score in enumerate(scores):
+            monitor.step(Event(i, float(score), ()))
+            if monitor.windows.warmed_up:
+                consumed.append(monitor.signal_state.value())
+        assert len(consumed) == monitor.sketch.count
+        return monitor, consumed
+
+    @pytest.mark.parametrize("events", [500, 5000])
+    def test_sample_holds_consumed_values(self, events):
+        config = tiny_monitor_config()
+        scores = np.random.default_rng(4).uniform(0, 1, events)
+        monitor, consumed = self.consumed_values(config, scores, seed=5)
+        sample = monitor.audit_sample
+        assert len(sample) == min(len(consumed), AUDIT_SAMPLE_SIZE)
+        assert set(sample) <= set(consumed)
+        if len(consumed) <= AUDIT_SAMPLE_SIZE:
+            assert sample == consumed
+
+    def test_same_seed_same_sample(self):
+        config = tiny_monitor_config()
+        scores = np.random.default_rng(4).uniform(0, 1, 6000)
+        first, _ = self.consumed_values(config, scores, seed=5)
+        again, _ = self.consumed_values(config, scores, seed=5)
+        other, _ = self.consumed_values(config, scores, seed=6)
+        assert first.audit_sample == again.audit_sample
+        assert first.audit_sample != other.audit_sample
+
+    def test_audit_fields(self):
+        config = tiny_monitor_config()
+        scores = np.random.default_rng(4).uniform(0, 1, 6000)
+        monitor, consumed = self.consumed_values(config, scores, seed=5)
+        audit = monitor.threshold_audit()
+        assert audit["threshold"] == monitor.sketch.percentile(config.threshold_percentile)
+        assert audit["sample_size"] == AUDIT_SAMPLE_SIZE
+        assert audit["consumed"] == len(consumed)
+        share = sum(v <= audit["threshold"] for v in monitor.audit_sample) / AUDIT_SAMPLE_SIZE
+        assert audit["share"] == share
+        low, high = audit["interval"]
+        assert low < share < high
+        half_width = 1.96 * math.sqrt(
+            share * (1 - share) / AUDIT_SAMPLE_SIZE
+            * (len(consumed) - AUDIT_SAMPLE_SIZE) / (len(consumed) - 1)
+        )
+        assert high - low == pytest.approx(2 * half_width)
+
+    def test_interval_is_exact_while_the_sample_holds_every_value(self):
+        config = tiny_monitor_config()
+        scores = np.random.default_rng(4).uniform(0, 1, 500)
+        monitor, consumed = self.consumed_values(config, scores, seed=5)
+        audit = monitor.threshold_audit(0.05)
+        exact = sum(v <= 0.05 for v in consumed) / len(consumed)
+        assert audit["share"] == exact
+        assert audit["interval"] == [exact, exact]
+
+    def test_none_before_the_sketch_is_initialized(self):
+        config = tiny_monitor_config()
+        monitor = Monitor(config)
+        for i in range(config.n_r + config.n_t + config.sketch_bins - 1):
+            monitor.step(Event(i, 0.5, ()))
+            assert monitor.threshold_audit() is None
+        monitor.step(Event(i + 1, 0.5, ()))
+        assert monitor.sketch.initialized
+        assert monitor.threshold_audit()["sample_size"] == config.sketch_bins + 1
+
+
 class TestSnapshots:
     def test_requested_snapshot_matches_window_arithmetic(self):
         config = MonitorConfig(n_r=8, n_t=4, bin_count=4, sketch_bins=4,
@@ -435,6 +505,7 @@ def monitor_state(monitor):
         monitor.last_alarm_index, monitor.burn_in_sample, monitor._next_capture,
         monitor._capture_at, monitor._warmed_up,
         monitor.last_timestamp, list(pool._heap), pool._before_last, pool._last,
+        list(monitor.audit_sample), monitor._audit_rng.getstate(),
     )
 
 

@@ -1,11 +1,14 @@
 """The package's public surface."""
 
+import argparse
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import driftwatch
+from driftwatch.cli import build_parser
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -24,3 +27,16 @@ def test_benchmark_probe_finds_every_name_it_wraps():
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert result.returncode == 0, result.stderr
+
+
+def test_readme_names_only_live_cli_options():
+    # A flag deleted from the parser must not stay documented.
+    parser = build_parser()
+    (subcommands,) = [action.choices for action in parser._actions
+                      if isinstance(action, argparse._SubParsersAction)]
+    live = {option for sub in subcommands.values() for action in sub._actions
+            for option in action.option_strings}
+    pip_options = {"--no-build-isolation"}
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", readme))
+    assert named - pip_options - live == set()

@@ -1,6 +1,7 @@
 """Streaming percentile sketch: wall updates, the sweep rule, accuracy."""
 
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -140,6 +141,42 @@ class TestInitialization:
         sketch = PercentileSketch(n=3)
         with pytest.raises(ValueError):
             sketch.consume(float("nan"))
+
+    def test_jitter_past_the_largest_float_rejected(self):
+        # The jitter turns a repeated largest float into inf; inserting it
+        # used to leave the next repeat looping on inf == inf.
+        sketch = PercentileSketch(n=2)
+        sketch.consume(sys.float_info.max)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="span"):
+                sketch.consume(sys.float_info.max)
+            assert sketch.positions == [sys.float_info.max]
+            assert sketch.count == 1
+
+    def test_warm_up_span_past_the_largest_float_rejected(self):
+        sketch = PercentileSketch(n=3)
+        for value in (-1e308, -9.5e307):
+            sketch.consume(value)
+        with pytest.raises(ValueError, match="span"):
+            sketch.consume(9.5e307)
+        assert sketch.positions == [-1e308, -9.5e307]
+        assert sketch.count == 2
+
+    def test_value_stretching_the_walls_past_the_largest_float_rejected(self):
+        # Such a span used to overflow a bin width to inf mid-sweep and
+        # raise ZeroDivisionError with the walls half-moved.
+        sketch = PercentileSketch(n=3)
+        for value in (-8e307, -7e307, 7e307, 8e307):
+            sketch.consume(value)
+        before = list(sketch.positions)
+        for value in (-1.2e308, 1.2e308):
+            with pytest.raises(ValueError, match="span"):
+                sketch.consume(value)
+            assert sketch.positions == before
+            assert sketch.count == 4
+        sketch.consume(-9e307)
+        assert sketch.count == 5
+        assert sketch.positions[0] == -9e307
 
     def test_bad_policy_rejected(self):
         with pytest.raises(ValueError):
