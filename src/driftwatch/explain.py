@@ -25,6 +25,7 @@ from .report import AlarmReport, RankedEventRow
 from .stream_model import (
     CATEGORICAL,
     MISSING,
+    MODEL_SCORE_COLUMN,
     NUMERIC,
     Event,
     FeatureSchema,
@@ -315,9 +316,6 @@ def time_correlation_filter(
             )
         )
     return MicFilterResult(tuple(entries), shuffles, n, SHUFFLE_ALPHA, SHUFFLE_CONFIDENCE)
-
-
-MODEL_SCORE_COLUMN = "model_score"
 
 
 def encode(

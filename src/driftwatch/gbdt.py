@@ -11,6 +11,8 @@ blocks, as in XGBoost (Chen & Guestrin, KDD 2016).
 from __future__ import annotations
 
 import math
+import os
+import threading
 import warnings
 from dataclasses import dataclass, field
 
@@ -341,7 +343,9 @@ def kfold_auc(
 
     Folds are deterministic given the seed: each class is shuffled once
     and dealt round-robin. If the minority class has fewer than k rows,
-    k is reduced to that count with a warning.
+    k is reduced to that count with a warning. The folds are fitted on
+    every usable CPU (see ``_deal_folds``); the result is the same on any
+    number of them.
     """
     class_counts = [int((data.y == label).sum()) for label in (0, 1)]
     if min(class_counts) < 2:
@@ -360,14 +364,86 @@ def kfold_auc(
         members = members[rng.permutation(len(members))]
         fold_of[members] = np.arange(len(members)) % k
 
-    fold_aucs = []
-    fold_rocs = []
-    for fold in range(k):
+    def run_fold(fold):
         held = fold_of == fold
         train = TrainingMatrix(data.x[~held], data.y[~held], list(data.column_names))
         model = fit(train, params)
         points = roc_points(predict_proba(model, data.x[held]), data.y[held])
-        fold_aucs.append(_area(points))
-        fold_rocs.append(points)
+        return _area(points), points
+
+    folds = _deal_folds(k, run_fold)
+    fold_aucs = [area for area, _ in folds]
+    fold_rocs = [points for _, points in folds]
     return KFoldResult(float(np.mean(fold_aucs)), fold_aucs, fold_rocs, k)
 
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _send_folds(sender, folds, run_fold) -> None:
+    """A helper process's work: ``(fold, *run_fold(fold))`` for each fold, in turn."""
+    for fold in folds:
+        sender.send((fold, *run_fold(fold)))
+    sender.close()
+
+
+def _deal_folds(k: int, run_fold) -> list:
+    """``run_fold(fold)`` for every fold in ``range(k)``, dealt across the CPUs.
+
+    One helper process is forked per usable CPU beyond this one, at most
+    ``k - 1``, and none while another thread runs (a thread could hold a
+    lock that the forked copy would wait on forever). Fold ``f`` goes to
+    helper ``f mod (helpers + 1)`` when that is a helper's index and to this
+    process otherwise. A helper runs the same code on a forked copy of the
+    data and sends back only each fold's result. This process then computes
+    every fold that no helper delivered (no fork start method, a start that
+    fails, a helper that dies), so the results never depend on the helpers.
+    """
+    helpers = min(_usable_cpus(), k) - 1 if threading.active_count() == 1 else 0
+    if helpers > 0:
+        # Imported here: the CLI's start-up and one-CPU runs do not pay for it.
+        import multiprocessing
+
+        try:
+            context = multiprocessing.get_context("fork")
+        except ValueError:
+            helpers = 0
+    results = {}
+    started = []
+    try:
+        for index in range(helpers):
+            receiver, sender = context.Pipe(duplex=False)
+            folds = range(index, k, helpers + 1)
+            process = context.Process(
+                target=_send_folds, args=(sender, folds, run_fold), daemon=True
+            )
+            try:
+                process.start()
+            except OSError:
+                receiver.close()
+                continue
+            finally:
+                sender.close()
+            started.append((process, receiver))
+        for fold in range(helpers, k, helpers + 1):
+            results[fold] = run_fold(fold)
+        for _, receiver in started:
+            try:
+                while True:
+                    fold, area, points = receiver.recv()
+                    results[fold] = area, points
+            except (EOFError, OSError):
+                pass
+    except BaseException:
+        for process, _ in started:
+            process.terminate()
+        raise
+    finally:
+        for process, receiver in started:
+            receiver.close()
+            process.join()
+    return [results[fold] if fold in results else run_fold(fold) for fold in range(k)]

@@ -64,6 +64,12 @@ NUMERIC = "numeric"
 CATEGORICAL = "categorical"
 _KINDS = (NUMERIC, CATEGORICAL)
 
+# The column name of the model score in a report's training matrix.
+MODEL_SCORE_COLUMN = "model_score"
+# A feature under one of these names would shadow a stream column or the
+# model score column: a JSON-lines ``score`` key would feed both.
+RESERVED_NAMES = ("timestamp", "score", MODEL_SCORE_COLUMN)
+
 
 @dataclass(frozen=True)
 class FeatureSpec:
@@ -76,6 +82,8 @@ class FeatureSpec:
         if not isinstance(self.name, str):
             # A CSV header is text: any other name can never match a column.
             raise SchemaError(f"feature name {self.name!r} is not a string")
+        if self.name in RESERVED_NAMES:
+            raise SchemaError(f"feature name {self.name!r} is reserved")
         if self.kind not in _KINDS:
             raise SchemaError(f"unknown feature kind {self.kind!r} for {self.name!r}")
 

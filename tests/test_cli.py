@@ -206,6 +206,36 @@ class TestDeterminism:
             assert Path(paths_a["json"]).read_bytes() == Path(paths_b["json"]).read_bytes()
             assert Path(paths_a["markdown"]).read_bytes() == Path(paths_b["markdown"]).read_bytes()
 
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity")
+                        or len(os.sched_getaffinity(0)) < 2,
+                        reason="needs CPU affinity and at least two CPUs")
+    def test_outputs_do_not_depend_on_the_cpu_count(self, workspace, tmp_path):
+        # Pinned to one CPU a report fits its CV folds itself; unpinned it
+        # deals them to helper processes.
+        _, stream, _, _ = workspace
+        config = tmp_path / "run.conf"
+        config.write_text(BASE_CONFIG)
+        source_root = str(Path(driftwatch.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [source_root, os.environ.get("PYTHONPATH")]))}
+        one_cpu = min(os.sched_getaffinity(0))
+        outputs = []
+        for name, pin in (("pinned", lambda: os.sched_setaffinity(0, {one_cpu})),
+                          ("unpinned", None)):
+            out = tmp_path / name
+            done = subprocess.run(
+                [sys.executable, "-m", "driftwatch.cli", "monitor", "--input", str(stream),
+                 "--schema", f"{stream}.schema.json", "--config", str(config),
+                 "--out", str(out), "--seed", "3"],
+                env=env, capture_output=True, timeout=300, preexec_fn=pin,
+            )
+            assert done.returncode == EXIT_OK, done.stderr.decode("utf-8", "replace")
+            outputs.append({path.name: path.read_bytes() for path in sorted(out.iterdir())
+                            if path.name != MANIFEST_FILE})
+        pinned, unpinned = outputs
+        assert any(name.startswith("alarm_") for name in pinned)
+        assert pinned == unpinned
+
     def test_generate_is_byte_identical(self, tmp_path):
         first = generate(BASE_SPEC, tmp_path, "first")
         second = generate(BASE_SPEC, tmp_path, "second")
@@ -359,6 +389,26 @@ class TestExitCodes:
         assert code == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("error:") and "not a string" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("suffix", [".csv", ".jsonl"])
+    @pytest.mark.parametrize("name", ["timestamp", "score", "model_score"])
+    def test_reserved_feature_name_is_a_config_error(self, tmp_path, capsys, name, suffix):
+        # In JSON lines a feature named "score" would read the score's key.
+        stream = tmp_path / f"stream{suffix}"
+        if suffix == ".csv":
+            stream.write_text(f"timestamp,score,{name}\n1,0.5,0.25\n")
+        else:
+            stream.write_text(json.dumps({"timestamp": 1, "score": 0.5, name: 0.25}) + "\n")
+        schema = tmp_path / "schema.json"
+        schema.write_text(json.dumps({"features": [{"name": name, "kind": "numeric"}]}))
+        config = tmp_path / "c.conf"
+        config.write_text("monitor.n_r = 50\nmonitor.n_t = 20\n")
+        code = main(["monitor", "--input", str(stream), "--schema", str(schema),
+                     "--config", str(config), "--out", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "reserved" in err
         assert "Traceback" not in err
 
     def test_removed_debug_landmark_flag_is_unknown(self, workspace, tmp_path, capsys):

@@ -1,5 +1,11 @@
 """Boosted-tree discriminator: fitting, ROC/AUC, cross validation."""
 
+import multiprocessing
+import os
+import threading
+import time
+import warnings
+
 import numpy as np
 import pytest
 
@@ -18,6 +24,15 @@ def step_problem(n=200, seed=0):
     rng = np.random.default_rng(seed)
     x = rng.random((n, 3))
     y = (x[:, 0] > 0.5).astype(np.int64)
+    return matrix(x, y)
+
+
+def small_minority_problem():
+    """40 rows of which only 3 are positive, too few for 5 folds."""
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=(40, 2))
+    y = np.zeros(40, dtype=int)
+    y[:3] = 1
     return matrix(x, y)
 
 
@@ -233,12 +248,8 @@ class TestKfold:
         assert result.mean_auc > 0.95
 
     def test_small_minority_reduces_k(self):
-        rng = np.random.default_rng(3)
-        x = rng.normal(size=(40, 2))
-        y = np.zeros(40, dtype=int)
-        y[:3] = 1
         with pytest.warns(UserWarning, match="reducing k"):
-            result = gbdt.kfold_auc(matrix(x, y), k=5, seed=0)
+            result = gbdt.kfold_auc(small_minority_problem(), k=5, seed=0)
         assert result.k == 3
 
     def test_tiny_minority_rejected(self):
@@ -254,3 +265,116 @@ class TestKfold:
         b = gbdt.kfold_auc(data, k=4, seed=9)
         assert a.fold_aucs == b.fold_aucs
 
+
+def with_cpus(monkeypatch, count):
+    monkeypatch.setattr(gbdt, "_usable_cpus", lambda: count)
+
+
+def bits(result):
+    """Every float of a ``KFoldResult`` in hex, which tells -0.0 from 0.0."""
+    return (
+        result.k,
+        result.mean_auc.hex(),
+        [area.hex() for area in result.fold_aucs],
+        [[(fpr.hex(), tpr.hex()) for fpr, tpr in roc] for roc in result.fold_rocs],
+    )
+
+
+def assert_bit_identical(a, b):
+    assert a == b
+    assert bits(a) == bits(b)
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="no fork start method")
+class TestFoldHelpers:
+    """``kfold_auc`` deals its folds to forked helpers; results never depend on them."""
+
+    @pytest.mark.parametrize("data, k", [
+        (step_problem(seed=4), 5),
+        (step_problem(seed=4), 2),
+        (small_minority_problem(), 5),
+    ], ids=["k5", "k2", "reduced-k"])
+    def test_same_result_on_any_cpu_count(self, monkeypatch, data, k):
+        results = []
+        for count in (1, 2, 4):
+            with_cpus(monkeypatch, count)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                results.append(gbdt.kfold_auc(data, k=k, seed=11))
+            reductions = [w for w in caught if "reducing k" in str(w.message)]
+            assert len(reductions) == (1 if results[-1].k < k else 0)
+        for result in results[1:]:
+            assert_bit_identical(result, results[0])
+        assert multiprocessing.active_children() == []
+
+    def test_helper_that_fails_to_start(self, monkeypatch):
+        data = step_problem(seed=6)
+        with_cpus(monkeypatch, 1)
+        expected = gbdt.kfold_auc(data, k=5, seed=2)
+        process_class = multiprocessing.get_context("fork").Process
+        start = process_class.start
+        attempts = []
+
+        def first_start_fails(process):
+            attempts.append(process)
+            if len(attempts) == 1:
+                raise OSError("fork refused")
+            start(process)
+
+        monkeypatch.setattr(process_class, "start", first_start_fails)
+        with_cpus(monkeypatch, 4)
+        assert_bit_identical(gbdt.kfold_auc(data, k=5, seed=2), expected)
+        assert len(attempts) == 3
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("delivered", [0, 1])
+    def test_helper_that_dies(self, monkeypatch, delivered):
+        data = step_problem(seed=6)
+        with_cpus(monkeypatch, 1)
+        expected = gbdt.kfold_auc(data, k=5, seed=2)
+
+        def dies(sender, folds, run_fold):
+            for fold in list(folds)[:delivered]:
+                sender.send((fold, *run_fold(fold)))
+            os._exit(1)
+
+        monkeypatch.setattr(gbdt, "_send_folds", dies)
+        with_cpus(monkeypatch, 2)
+        assert_bit_identical(gbdt.kfold_auc(data, k=5, seed=2), expected)
+        assert multiprocessing.active_children() == []
+
+    def test_no_helper_while_another_thread_runs(self, monkeypatch):
+        process_class = multiprocessing.get_context("fork").Process
+        started = []
+        monkeypatch.setattr(process_class, "start", lambda process: started.append(process))
+        with_cpus(monkeypatch, 4)
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:
+            result = gbdt.kfold_auc(step_problem(seed=7), k=5, seed=0)
+        finally:
+            release.set()
+            other.join(timeout=10)
+        assert not other.is_alive()
+        assert started == []
+        assert len(result.fold_aucs) == 5
+
+    def test_no_helper_outlives_a_raising_call(self, monkeypatch):
+        # The helpers are still busy when the caller raises: they must be
+        # stopped, not waited for.
+        caller = os.getpid()
+
+        def fails_in_the_caller(*args, **kwargs):
+            if os.getpid() == caller:
+                raise RuntimeError("fit failed")
+            time.sleep(60)
+
+        monkeypatch.setattr(gbdt, "fit", fails_in_the_caller)
+        with_cpus(monkeypatch, 4)
+        start = time.monotonic()
+        with pytest.raises(RuntimeError, match="fit failed"):
+            gbdt.kfold_auc(step_problem(seed=8), k=5, seed=0)
+        assert time.monotonic() - start < 30
+        assert multiprocessing.active_children() == []

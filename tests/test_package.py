@@ -29,6 +29,18 @@ def test_benchmark_probe_finds_every_name_it_wraps():
     assert result.returncode == 0, result.stderr
 
 
+def test_importing_the_cli_does_not_import_multiprocessing():
+    # Every launch pays for what `import driftwatch.cli` loads; the fold
+    # helpers import multiprocessing when a report first needs them.
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    result = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, driftwatch.cli; assert 'multiprocessing' not in sys.modules"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+
+
 def test_readme_names_only_live_cli_options():
     # A flag deleted from the parser must not stay documented.
     parser = build_parser()

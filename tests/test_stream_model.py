@@ -288,6 +288,13 @@ class TestSchema:
         with pytest.raises(SchemaError):
             FeatureSchema((FeatureSpec("a", "weird"),))
 
+    @pytest.mark.parametrize("name", ["timestamp", "score", "model_score"])
+    def test_reserved_names_rejected(self, name):
+        # A feature named like a stream column or the model-score column
+        # would read or display that column's values instead of its own.
+        with pytest.raises(SchemaError, match="reserved"):
+            FeatureSpec(name, NUMERIC)
+
     def test_json_round_trip(self):
         schema = AMOUNT_CHANNEL
         assert FeatureSchema.from_json(schema.to_json()) == schema
