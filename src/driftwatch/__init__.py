@@ -9,7 +9,7 @@ the most drifted events, and a validation curve showing how the signal
 falls as top-ranked events are removed.
 """
 
-from .divergence import IncrementalSignal, ScoreHistogram, jsd, signal
+from .divergence import IncrementalSignal, ScoreHistogram, jsd
 from .explain import (
     FeatureFilterEntry,
     MicFilterResult,
@@ -46,7 +46,7 @@ from .synthetic import (
     SyntheticSpec,
     generate_events,
 )
-from .windows import ConfigError, WindowPair, default_sizes
+from .windows import ConfigError, WindowPair
 
 __version__ = "0.1.0"
 
@@ -82,7 +82,6 @@ __all__ = [
     "WindowPair",
     "auc",
     "build_report",
-    "default_sizes",
     "encode",
     "fit",
     "generate_events",
@@ -95,7 +94,6 @@ __all__ = [
     "report_to_json",
     "select_valleys",
     "shuffle_count",
-    "signal",
     "time_correlation_filter",
     "update_percentiles",
     "validation_curve",

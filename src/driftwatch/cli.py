@@ -12,11 +12,14 @@ report is built and written synchronously at its trigger, before the next
 event is read, so reports come out in trigger order. There is no report
 pool: under the interpreter lock a thread pool made runs slower. Instead
 each report's k cross-validation folds are dealt between this process and
-one forked helper per extra usable CPU (see ``gbdt.kfold_auc``); a fold a
+one helper per extra usable CPU, forked with ``os.fork`` and sending its
+results back as pickles over a pipe (see ``gbdt._deal_folds``); a fold a
 helper does not deliver is fitted here, so outputs do not depend on the
-CPU count. Reports are built by :func:`~driftwatch.explain.build_report`
-with the run seed, as a library caller would; the first one runs the MIC
-time filter and the rest reuse its result.
+CPU count. A helper leaves by ``os._exit``, so it never flushes this
+process's open ``signal.csv``. Reports are built by
+:func:`~driftwatch.explain.build_report` with the run seed, as a library
+caller would; the first one runs the MIC time filter and the rest reuse its
+result.
 """
 
 from __future__ import annotations

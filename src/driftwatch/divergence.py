@@ -20,9 +20,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable
 
-import numpy as np
-
-from .windows import PushResult, WindowPair
+from .windows import PushResult
 
 
 class EmptyWindowError(Exception):
@@ -48,11 +46,10 @@ def bin_of(score: float, bin_count: int) -> int:
 
 @dataclass
 class ScoreHistogram:
-    """Normalized equal-width histogram of scores on [0, 1].
+    """Equal-width histogram of scores on [0, 1].
 
-    ``counts`` is a list of Python ints (any given sequence is converted);
-    ``mass()`` divides by the total on demand, as a numpy array, so that
-    add/remove sequences and batch builds agree bit for bit.
+    ``counts`` is a list of Python ints (any given sequence is converted),
+    so add/remove sequences and batch builds agree exactly.
     """
 
     bin_count: int = DEFAULT_BIN_COUNT
@@ -89,11 +86,6 @@ class ScoreHistogram:
         self.counts[index] -= 1
         self.total -= 1
         return index
-
-    def mass(self) -> np.ndarray:
-        if self.total == 0:
-            raise EmptyWindowError("mass of empty histogram")
-        return np.asarray(self.counts, dtype=np.int64) / self.total
 
     def copy(self) -> "ScoreHistogram":
         return ScoreHistogram(self.bin_count, self.counts, self.total)
@@ -147,15 +139,6 @@ def jsd(p: ScoreHistogram, q: ScoreHistogram) -> float:
     return _clamped_sum(
         _bin_term(r, t, n_p, n_q) for r, t in zip(p.counts, q.counts)
     )
-
-
-def signal(pair: WindowPair, bin_count: int = DEFAULT_BIN_COUNT) -> float:
-    """JSD between the R and T window score histograms, built from scratch."""
-    if not pair.warmed_up:
-        raise EmptyWindowError("windows not warmed up")
-    hist_r = ScoreHistogram.from_scores((e.score for e in pair.r_events), bin_count)
-    hist_t = ScoreHistogram.from_scores((e.score for e in pair.t_events), bin_count)
-    return jsd(hist_r, hist_t)
 
 
 class IncrementalSignal:

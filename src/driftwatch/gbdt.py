@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import math
 import os
+import pickle
+import signal
 import threading
 import warnings
 from dataclasses import dataclass, field
@@ -384,13 +386,6 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _send_folds(sender, folds, run_fold) -> None:
-    """A helper process's work: ``(fold, *run_fold(fold))`` for each fold, in turn."""
-    for fold in folds:
-        sender.send((fold, *run_fold(fold)))
-    sender.close()
-
-
 def _deal_folds(k: int, run_fold) -> list:
     """``run_fold(fold)`` for every fold in ``range(k)``, dealt across the CPUs.
 
@@ -399,51 +394,52 @@ def _deal_folds(k: int, run_fold) -> list:
     lock that the forked copy would wait on forever). Fold ``f`` goes to
     helper ``f mod (helpers + 1)`` when that is a helper's index and to this
     process otherwise. A helper runs the same code on a forked copy of the
-    data and sends back only each fold's result. This process then computes
-    every fold that no helper delivered (no fork start method, a start that
-    fails, a helper that dies), so the results never depend on the helpers.
+    data, pickles each fold's result into a pipe and leaves by ``os._exit``,
+    so no exit handler runs and no inherited buffer is flushed in it. This
+    process then computes every fold that no helper delivered (no fork, a
+    fork that fails, a helper that dies), so the results never depend on
+    the helpers.
     """
-    helpers = min(_usable_cpus(), k) - 1 if threading.active_count() == 1 else 0
-    if helpers > 0:
-        # Imported here: the CLI's start-up and one-CPU runs do not pay for it.
-        import multiprocessing
-
-        try:
-            context = multiprocessing.get_context("fork")
-        except ValueError:
-            helpers = 0
+    helpers = min(_usable_cpus(), k) - 1
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        helpers = 0
     results = {}
     started = []
     try:
         for index in range(helpers):
-            receiver, sender = context.Pipe(duplex=False)
-            folds = range(index, k, helpers + 1)
-            process = context.Process(
-                target=_send_folds, args=(sender, folds, run_fold), daemon=True
-            )
+            read_end, write_end = os.pipe()
             try:
-                process.start()
+                pid = os.fork()
             except OSError:
-                receiver.close()
+                os.close(read_end)
+                os.close(write_end)
                 continue
-            finally:
-                sender.close()
-            started.append((process, receiver))
+            if pid == 0:
+                try:
+                    os.close(read_end)
+                    with open(write_end, "wb") as writer:
+                        for fold in range(index, k, helpers + 1):
+                            pickle.dump((fold, *run_fold(fold)), writer)
+                            writer.flush()
+                finally:
+                    os._exit(0)
+            os.close(write_end)  # before the next fork: EOF when this helper exits
+            started.append((pid, open(read_end, "rb")))
         for fold in range(helpers, k, helpers + 1):
             results[fold] = run_fold(fold)
-        for _, receiver in started:
+        for _, reader in started:
             try:
                 while True:
-                    fold, area, points = receiver.recv()
+                    fold, area, points = pickle.load(reader)
                     results[fold] = area, points
-            except (EOFError, OSError):
+            except (EOFError, pickle.UnpicklingError, OSError):
                 pass
     except BaseException:
-        for process, _ in started:
-            process.terminate()
+        for pid, _ in started:
+            os.kill(pid, signal.SIGTERM)
         raise
     finally:
-        for process, receiver in started:
-            receiver.close()
-            process.join()
+        for pid, reader in started:
+            reader.close()
+            os.waitpid(pid, 0)
     return [results[fold] if fold in results else run_fold(fold) for fold in range(k)]

@@ -10,7 +10,6 @@ instance.
 
 from __future__ import annotations
 
-import math
 import numbers
 from collections import deque
 from dataclasses import dataclass, field
@@ -79,21 +78,3 @@ class WindowPair:
     def snapshot(self) -> tuple[tuple[Event, ...], tuple[Event, ...]]:
         """Immutable copies of (R, T), unchanged by later pushes."""
         return tuple(self.r_events), tuple(self.t_events)
-
-
-def _round_half_up(x: float) -> int:
-    return int(math.floor(x + 0.5))
-
-
-def default_sizes(avg_daily_events: float, bin_count: int = 100) -> tuple[int, int]:
-    """Window sizes from the average daily event volume.
-
-    R covers three days of events and T half a day, floored so each
-    window averages at least two events per histogram bin.
-    """
-    if not avg_daily_events > 0:
-        raise ConfigError("avg_daily_events must be positive")
-    floor = 2 * bin_count
-    n_r = max(_round_half_up(3.0 * avg_daily_events), floor)
-    n_t = max(_round_half_up(0.5 * avg_daily_events), floor)
-    return n_r, n_t

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from driftwatch import Event, IncrementalSignal, ScoreHistogram, WindowPair, jsd, signal
+from driftwatch import Event, IncrementalSignal, ScoreHistogram, WindowPair, jsd
 from driftwatch.divergence import (
     EmptyWindowError,
     IncompatibleHistogramsError,
@@ -28,18 +28,18 @@ def hist_from_counts(counts):
 class TestHistogram:
     def test_boundary_convention_two_bins(self):
         hist = ScoreHistogram.from_scores([0.0, 0.5, 1.0], bin_count=2)
-        assert np.allclose(hist.mass(), [1 / 3, 2 / 3])
+        assert hist.counts == [1, 2] and hist.total == 3
 
     def test_point_mass(self):
         hist = ScoreHistogram.from_scores([0.25] * 7, bin_count=100)
-        mass = hist.mass()
-        assert mass[bin_of(0.25, 100)] == 1.0
-        assert mass.sum() == 1.0
+        assert hist.counts[bin_of(0.25, 100)] == hist.total == 7
+        assert sum(hist.counts) == hist.total
 
     def test_uniform_masses_near_equal(self):
         rng = np.random.default_rng(7)
         hist = ScoreHistogram.from_scores(rng.random(100_000), bin_count=100)
-        assert np.all(np.abs(hist.mass() - 0.01) <= 0.004)
+        assert hist.total == 100_000
+        assert np.all(np.abs(np.array(hist.counts) / hist.total - 0.01) <= 0.004)
 
     def test_empty_rejected(self):
         with pytest.raises(EmptyWindowError):
@@ -95,13 +95,6 @@ class TestOutOfRangeScore:
     def test_from_scores(self, score):
         with pytest.raises(ValueError, match=rf"score {score!r} outside"):
             ScoreHistogram.from_scores([0.5, score], bin_count=100)
-
-    def test_signal(self, score):
-        pair = WindowPair(3, 2)
-        for event in [Event(0, score, ()), *score_events([0.5] * 4, start_ts=1)]:
-            pair.push(event)
-        with pytest.raises(ValueError, match=rf"score {score!r} outside"):
-            signal(pair, bin_count=100)
 
     def test_update(self, score):
         pair = WindowPair(3, 2)
@@ -187,22 +180,26 @@ def test_jsd_properties(p_counts, q_counts):
 
 
 class TestSignal:
-    def test_same_point_mass_is_zero(self):
+    """The signal the monitor reads: the incremental JSD of the pushed windows."""
+
+    @staticmethod
+    def signal_after(scores, bin_count):
         pair = WindowPair(3, 2)
-        for event in score_events([0.25] * 5):
-            pair.push(event)
-        assert signal(pair, bin_count=100) == 0.0
+        incremental = IncrementalSignal(bin_count)
+        for event in score_events(scores):
+            incremental.update(event.score, pair.push(event))
+        return incremental
+
+    def test_same_point_mass_is_zero(self):
+        assert self.signal_after([0.25] * 5, bin_count=100).value() == 0.0
 
     def test_disjoint_supports_is_one(self):
-        pair = WindowPair(3, 2)
-        for event in score_events([0.1, 0.2, 0.3, 0.7, 0.9]):
-            pair.push(event)
-        assert signal(pair, bin_count=2) == 1.0
+        assert self.signal_after([0.1, 0.2, 0.3, 0.7, 0.9], bin_count=2).value() == 1.0
 
     def test_not_warmed_up_rejected(self):
-        pair = WindowPair(3, 2)
+        # Both pushes are still in T, so R holds no event.
         with pytest.raises(EmptyWindowError):
-            signal(pair)
+            self.signal_after([0.1, 0.9], bin_count=100).value()
 
 
 def test_incremental_equals_batch_over_replay():
@@ -215,10 +212,10 @@ def test_incremental_equals_batch_over_replay():
         result = pair.push(event)
         incremental.update(event.score, result)
         if pair.warmed_up:
-            worst = max(worst, abs(incremental.value() - signal(pair, 100)))
+            r_counts = histogram_counts([e.score for e in pair.r_events], 100)
+            t_counts = histogram_counts([e.score for e in pair.t_events], 100)
+            worst = max(worst, abs(incremental.value() - batch_jsd(r_counts, t_counts)))
             if step % 97 == 0:
-                r_counts = histogram_counts([e.score for e in pair.r_events], 100)
-                t_counts = histogram_counts([e.score for e in pair.t_events], 100)
                 assert np.array_equal(incremental.hist_r.counts, r_counts)
                 assert np.array_equal(incremental.hist_t.counts, t_counts)
     assert worst < 1e-9
@@ -263,6 +260,8 @@ def test_incremental_is_exactly_batch_through_a_drift():
             expected = _batch_jsd(scores, r_start, (stop - n_t, stop), bins)
             assert incremental.value() == expected, step
             if pair.warmed_up and step % 500 == 0:
-                assert incremental.value() == signal(pair, bins), step
+                hist_r, hist_t = (ScoreHistogram.from_scores((e.score for e in w), bins)
+                                  for w in (pair.r_events, pair.t_events))
+                assert incremental.value() == jsd(hist_r, hist_t), step
             checked += 1
     assert checked == (len(events) - n_t) + (len(events) - 9_000 - n_t)

@@ -1,10 +1,13 @@
 """Boosted-tree discriminator: fitting, ROC/AUC, cross validation."""
 
-import multiprocessing
 import os
+import pickle
+import subprocess
+import sys
 import threading
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -285,8 +288,34 @@ def assert_bit_identical(a, b):
     assert bits(a) == bits(b)
 
 
-@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
-                    reason="no fork start method")
+def record_forks(monkeypatch, refuse_first=False):
+    """Wrap ``os.fork``; the returned list gets one entry per call.
+
+    Each entry is the helper's pid, or None for a fork that raised.
+    """
+    fork = os.fork
+    forks = []
+
+    def wrapped():
+        if refuse_first and not forks:
+            forks.append(None)
+            raise OSError("fork refused")
+        pid = fork()
+        forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", wrapped)
+    return forks
+
+
+def assert_reaped(forks):
+    for pid in forks:
+        if pid is not None:
+            with pytest.raises(ChildProcessError):
+                os.waitpid(pid, os.WNOHANG)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
 class TestFoldHelpers:
     """``kfold_auc`` deals its folds to forked helpers; results never depend on them."""
 
@@ -296,6 +325,7 @@ class TestFoldHelpers:
         (small_minority_problem(), 5),
     ], ids=["k5", "k2", "reduced-k"])
     def test_same_result_on_any_cpu_count(self, monkeypatch, data, k):
+        forks = record_forks(monkeypatch)
         results = []
         for count in (1, 2, 4):
             with_cpus(monkeypatch, count)
@@ -306,48 +336,87 @@ class TestFoldHelpers:
             assert len(reductions) == (1 if results[-1].k < k else 0)
         for result in results[1:]:
             assert_bit_identical(result, results[0])
-        assert multiprocessing.active_children() == []
+        assert len(forks) == sum(min(count, results[0].k) - 1 for count in (1, 2, 4))
+        assert_reaped(forks)
 
     def test_helper_that_fails_to_start(self, monkeypatch):
         data = step_problem(seed=6)
         with_cpus(monkeypatch, 1)
         expected = gbdt.kfold_auc(data, k=5, seed=2)
-        process_class = multiprocessing.get_context("fork").Process
-        start = process_class.start
-        attempts = []
-
-        def first_start_fails(process):
-            attempts.append(process)
-            if len(attempts) == 1:
-                raise OSError("fork refused")
-            start(process)
-
-        monkeypatch.setattr(process_class, "start", first_start_fails)
+        forks = record_forks(monkeypatch, refuse_first=True)
         with_cpus(monkeypatch, 4)
         assert_bit_identical(gbdt.kfold_auc(data, k=5, seed=2), expected)
-        assert len(attempts) == 3
-        assert multiprocessing.active_children() == []
+        assert len(forks) == 3
+        assert_reaped(forks)
 
     @pytest.mark.parametrize("delivered", [0, 1])
     def test_helper_that_dies(self, monkeypatch, delivered):
         data = step_problem(seed=6)
         with_cpus(monkeypatch, 1)
         expected = gbdt.kfold_auc(data, k=5, seed=2)
+        caller = os.getpid()
+        fit = gbdt.fit
+        fits = []
 
-        def dies(sender, folds, run_fold):
-            for fold in list(folds)[:delivered]:
-                sender.send((fold, *run_fold(fold)))
-            os._exit(1)
+        def dies_in_the_helper(*args, **kwargs):
+            if os.getpid() != caller:
+                if len(fits) == delivered:
+                    os._exit(1)
+                fits.append(None)
+            return fit(*args, **kwargs)
 
-        monkeypatch.setattr(gbdt, "_send_folds", dies)
+        forks = record_forks(monkeypatch)
+        monkeypatch.setattr(gbdt, "fit", dies_in_the_helper)
         with_cpus(monkeypatch, 2)
         assert_bit_identical(gbdt.kfold_auc(data, k=5, seed=2), expected)
-        assert multiprocessing.active_children() == []
+        assert len(forks) == 1
+        assert_reaped(forks)
+
+    def test_helper_that_dies_mid_frame(self, monkeypatch):
+        # The helper writes half of its first result, so the caller reads a
+        # truncated pickle frame.
+        data = step_problem(seed=6)
+        with_cpus(monkeypatch, 1)
+        expected = gbdt.kfold_auc(data, k=5, seed=2)
+        forks = record_forks(monkeypatch)
+
+        def half_a_frame(result, writer):
+            frame = pickle.dumps(result)
+            writer.write(frame[: len(frame) // 2])
+            writer.flush()
+            os._exit(1)
+
+        monkeypatch.setattr(pickle, "dump", half_a_frame)
+        with_cpus(monkeypatch, 2)
+        assert_bit_identical(gbdt.kfold_auc(data, k=5, seed=2), expected)
+        assert len(forks) == 1
+        assert_reaped(forks)
+
+    def test_helper_runs_no_exit_handler_and_flushes_no_buffer(self, tmp_path):
+        # The CLI holds signal.csv open, rows still in its buffer, while a
+        # report runs: a helper that flushed its copy would write them twice.
+        script = (
+            "import atexit, sys\n"
+            "import numpy as np\n"
+            "from driftwatch import gbdt\n"
+            "atexit.register(print, 'exit handler')\n"
+            "gbdt._usable_cpus = lambda: 2\n"
+            "x = np.random.default_rng(0).random((60, 2))\n"
+            "data = gbdt.TrainingMatrix(x, (x[:, 0] > 0.5).astype(int), ['a', 'b'])\n"
+            "with open(sys.argv[1], 'w') as buffered:\n"
+            "    buffered.write('once\\n')\n"
+            "    gbdt.kfold_auc(data)\n"
+        )
+        path = tmp_path / "buffered.txt"
+        env = dict(os.environ, PYTHONPATH=str(Path(gbdt.__file__).parents[1]))
+        result = subprocess.run([sys.executable, "-c", script, str(path)], env=env,
+                                capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "exit handler\n"
+        assert path.read_text() == "once\n"
 
     def test_no_helper_while_another_thread_runs(self, monkeypatch):
-        process_class = multiprocessing.get_context("fork").Process
-        started = []
-        monkeypatch.setattr(process_class, "start", lambda process: started.append(process))
+        forks = record_forks(monkeypatch)
         with_cpus(monkeypatch, 4)
         release = threading.Event()
         other = threading.Thread(target=release.wait)
@@ -358,7 +427,7 @@ class TestFoldHelpers:
             release.set()
             other.join(timeout=10)
         assert not other.is_alive()
-        assert started == []
+        assert forks == []
         assert len(result.fold_aucs) == 5
 
     def test_no_helper_outlives_a_raising_call(self, monkeypatch):
@@ -371,10 +440,12 @@ class TestFoldHelpers:
                 raise RuntimeError("fit failed")
             time.sleep(60)
 
+        forks = record_forks(monkeypatch)
         monkeypatch.setattr(gbdt, "fit", fails_in_the_caller)
         with_cpus(monkeypatch, 4)
         start = time.monotonic()
         with pytest.raises(RuntimeError, match="fit failed"):
             gbdt.kfold_auc(step_problem(seed=8), k=5, seed=0)
         assert time.monotonic() - start < 30
-        assert multiprocessing.active_children() == []
+        assert len(forks) == 3
+        assert_reaped(forks)

@@ -29,15 +29,37 @@ def test_benchmark_probe_finds_every_name_it_wraps():
     assert result.returncode == 0, result.stderr
 
 
-def test_importing_the_cli_does_not_import_multiprocessing():
-    # Every launch pays for what `import driftwatch.cli` loads; the fold
-    # helpers import multiprocessing when a report first needs them.
+def run_python(code):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    result = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, driftwatch.cli; assert 'multiprocessing' not in sys.modules"],
-        env=env, capture_output=True, text=True, timeout=120,
+    return subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120,
     )
+
+
+def test_importing_the_cli_does_not_import_multiprocessing():
+    # Every launch pays for what `import driftwatch.cli` loads.
+    result = run_python("import sys, driftwatch.cli; assert 'multiprocessing' not in sys.modules")
+    assert result.returncode == 0, result.stderr
+
+
+FOLDS_ON_TWO_CPUS = """
+import os, sys
+import numpy as np
+from driftwatch import gbdt
+forks = []
+fork = os.fork
+os.fork = lambda: forks.append(None) or fork()
+gbdt._usable_cpus = lambda: 2
+x = np.random.default_rng(0).random((60, 2))
+gbdt.kfold_auc(gbdt.TrainingMatrix(x, (x[:, 0] > 0.5).astype(int), ["a", "b"]))
+assert forks, "no fold helper was forked"
+assert "multiprocessing" not in sys.modules
+"""
+
+
+def test_fold_helpers_do_not_import_multiprocessing():
+    # The helpers fork and pickle over a pipe themselves.
+    result = run_python(FOLDS_ON_TWO_CPUS)
     assert result.returncode == 0, result.stderr
 
 

@@ -279,6 +279,39 @@ class TestJsonlObjectIsCsvRow:
         assert events == parse_csv("timestamp,score,amount,channel,extra.id\n1,0.5,1.0,web,\n")
 
 
+class TestBlankLines:
+    """A blank line is skipped in either format; later lines keep their numbers."""
+
+    EVENTS = [Event(1, 0.5, (1.0, "web")), Event(2, 0.6, (2.0, "pos"))]
+
+    @staticmethod
+    def read(fmt, lines):
+        """Read header-less data ``lines`` (``None`` is a blank line) in ``fmt``."""
+        if fmt == "csv":
+            text = "timestamp,score,amount,channel\n" + "".join(
+                "\n" if line is None else ",".join(map(str, line)) + "\n" for line in lines)
+        else:
+            keys = ("timestamp", "score", "amount", "channel")
+            text = "".join(
+                "\n" if line is None else json.dumps(dict(zip(keys, line))) + "\n"
+                for line in lines)
+        return list(read_stream(io.StringIO(text), AMOUNT_CHANNEL, fmt))
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    @pytest.mark.parametrize("blank_at", [1, 2], ids=["mid-stream", "at-end"])
+    def test_blank_line_skipped(self, fmt, blank_at):
+        lines = [(1, 0.5, 1.0, "web"), (2, 0.6, 2.0, "pos")]
+        lines.insert(blank_at, None)
+        assert self.read(fmt, lines) == self.EVENTS
+
+    @pytest.mark.parametrize("fmt, line_number", [("csv", 5), ("jsonl", 4)])
+    def test_later_bad_row_names_its_own_line(self, fmt, line_number):
+        lines = [(1, 0.5, 1.0, "web"), None, None, (2, 0.6, "abc", "pos")]
+        with pytest.raises(StreamError, match="bad numeric value") as exc:
+            self.read(fmt, lines)
+        assert exc.value.line_number == line_number
+
+
 class TestSchema:
     def test_duplicate_names_rejected(self):
         with pytest.raises(SchemaError):

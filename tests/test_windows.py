@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from driftwatch import ConfigError, WindowPair, default_sizes
+from driftwatch import ConfigError, WindowPair
 from helpers import score_events
 
 
@@ -78,26 +78,3 @@ def test_windows_always_match_slice_arithmetic(n_r, n_t, total):
             assert result.dropped is events[k - n_t - n_r - 1]
         else:
             assert result.dropped is None
-
-
-class TestDefaultSizes:
-    def test_mid_volume(self):
-        assert default_sizes(4936) == (14808, 2468)
-
-    def test_high_volume(self):
-        assert default_sizes(40301) == (120903, 20151)
-
-    def test_low_volume_clamped_to_floor(self):
-        assert default_sizes(1.0) == (200, 200)
-
-    def test_floor_scales_with_bin_count(self):
-        assert default_sizes(1.0, bin_count=10) == (20, 20)
-
-    def test_rounding_is_half_up(self):
-        # 0.5 * 401 = 200.5 rounds up, not to even; 401 keeps the result
-        # above the 2-per-bin floor of 200 so the rounding is observable.
-        assert default_sizes(401) == (1203, 201)
-
-    def test_non_positive_rejected(self):
-        with pytest.raises(ConfigError):
-            default_sizes(0.0)
