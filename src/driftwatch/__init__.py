@@ -17,7 +17,6 @@ from .explain import (
     ValidationCurve,
     build_report,
     encode,
-    mic,
     rank_target_events,
     shuffle_count,
     time_correlation_filter,
@@ -87,7 +86,6 @@ __all__ = [
     "generate_events",
     "jsd",
     "kfold_auc",
-    "mic",
     "rank_target_events",
     "read_stream",
     "render_markdown",

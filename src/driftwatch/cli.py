@@ -4,8 +4,10 @@ Exit codes: 0 success, 1 input error (unreadable, empty or non-UTF-8
 stream, unknown alarm id), 2 configuration error (missing or non-UTF-8
 schema, bad config value, overlapping drift segments). Every file is read
 and written as UTF-8. Configuration files are flat ``key = value`` text
-with dotted section prefixes; every monitoring knob is exposed under
-``monitor.`` and every report knob under ``report.``.
+with dotted section prefixes: each field of ``MonitorConfig`` is a key
+under ``monitor.`` and each field of ``ReportConfig`` one under
+``report.``, read as a float if the field is typed ``float`` and as an
+integer otherwise.
 
 The replay loop owns the monitor state and runs on one thread. Each alarm
 report is built and written synchronously at its trigger, before the next
@@ -35,7 +37,7 @@ from .monitor import Monitor, MonitorConfig
 from .report import write_report_files
 from .stream_model import FeatureSchema, SchemaError, StreamError, read_stream
 from .synthetic import spec_from_json, write_outputs
-from .windows import ConfigError
+from .windows import ConfigError, field_parsers
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -75,50 +77,32 @@ def _parse_config_lines(text: str) -> dict[str, str]:
     return values
 
 
-_MONITOR_FIELDS = {
-    "n_r": int,
-    "n_t": int,
-    "bin_count": int,
-    "threshold_percentile": float,
-    "sketch_bins": int,
-    "refractory_events": int,
-    "min_signal_samples": int,
-    "valley_percentile": float,
-    "valley_count": int,
-}
-_REPORT_FIELDS = {
-    "cv_folds": int,
-    "top_events": int,
-    "top_importances": int,
-    "validation_step": int,
-    "validation_max_k": int,
-}
+_SECTIONS = {"monitor": MonitorConfig, "report": ReportConfig}
 
 
 def load_run_config(path: str) -> tuple[MonitorConfig, ReportConfig, dict]:
     """Parse the flat config file; returns configs plus the resolved echo dict."""
     raw = _parse_config_lines(_read_text(path, "config", EXIT_CONFIG))
 
-    monitor_kwargs: dict = {}
-    report_kwargs: dict = {}
+    parsers = {section: field_parsers(config_type)
+               for section, config_type in _SECTIONS.items()}
+    kwargs: dict[str, dict] = {section: {} for section in _SECTIONS}
     for key, value in raw.items():
         section, _, name = key.partition(".")
+        parser = parsers.get(section, {}).get(name)
+        if parser is None:
+            raise CliError(f"unknown config key {key!r}", EXIT_CONFIG)
         try:
-            if section == "monitor" and name in _MONITOR_FIELDS:
-                monitor_kwargs[name] = _MONITOR_FIELDS[name](value)
-            elif section == "report" and name in _REPORT_FIELDS:
-                report_kwargs[name] = _REPORT_FIELDS[name](value)
-            else:
-                raise CliError(f"unknown config key {key!r}", EXIT_CONFIG)
+            kwargs[section][name] = parser(value)
         except ValueError as exc:
             raise CliError(f"bad value for {key!r}: {exc}", EXIT_CONFIG) from exc
     for required in ("n_r", "n_t"):
-        if required not in monitor_kwargs:
+        if required not in kwargs["monitor"]:
             raise CliError(f"config missing monitor.{required}", EXIT_CONFIG)
 
     try:
-        monitor_config = MonitorConfig(**monitor_kwargs)
-        report_config = ReportConfig(**report_kwargs)
+        monitor_config = MonitorConfig(**kwargs["monitor"])
+        report_config = ReportConfig(**kwargs["report"])
     except ConfigError as exc:
         raise CliError(str(exc), EXIT_CONFIG) from exc
     max_k = report_config.validation_max_k
@@ -127,8 +111,8 @@ def load_run_config(path: str) -> tuple[MonitorConfig, ReportConfig, dict]:
         raise CliError("report.validation_max_k must be less than monitor.n_t", EXIT_CONFIG)
 
     echo = {
-        "monitor": {name: getattr(monitor_config, name) for name in _MONITOR_FIELDS},
-        "report": {name: getattr(report_config, name) for name in _REPORT_FIELDS},
+        section: {name: getattr(config, name) for name in parsers[section]}
+        for section, config in (("monitor", monitor_config), ("report", report_config))
     }
     return monitor_config, report_config, echo
 

@@ -72,7 +72,7 @@ def _grid_bits(joint_counts: np.ndarray, px: np.ndarray, pt: np.ndarray, n: int)
     # Marginals come from the integer bin counts, not from summing the
     # joint grid: float row sums depend on the reduction axis, while
     # count / n is one division. Together with the sorted summation below
-    # this makes mic(x, t) == mic(t, x) exact.
+    # this makes the MIC of (x, t) equal that of (t, x) exactly.
     joint = joint_counts.astype(np.float64) / n
     independent = np.outer(px, pt).ravel()
     keep = joint > 0.0
@@ -160,32 +160,6 @@ class _GridSearch:
 
 def _is_constant(values: np.ndarray) -> bool:
     return bool(np.all(values == values[0]))
-
-
-def mic(x, t) -> float:
-    """Maximal information coefficient over equi-frequency grids.
-
-    Searches all grid shapes (a, b) with a, b >= 2 and a * b bounded by
-    n^0.6, normalizing the mutual information by log2(min(a, b)).
-    Deterministic, symmetric in its arguments, bounded in [0, 1], and 0
-    for a constant series. Raises ``ValueError`` on a length mismatch, on
-    input that is not 1-D and on NaN.
-
-    One bincount counts every grid; a cheap form of each grid's mutual
-    information screens them, and the best are summed exactly, each from
-    its nonzero terms in sorted order, so mic(x, t) == mic(t, x) bit for bit.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    t = np.asarray(t, dtype=np.float64)
-    if x.ndim != 1 or t.ndim != 1:
-        raise ValueError(f"mic needs 1-D series, got shapes {x.shape} and {t.shape}")
-    if len(x) != len(t):
-        raise ValueError(f"length mismatch: {len(x)} vs {len(t)}")
-    if np.isnan(x).any() or np.isnan(t).any():
-        raise ValueError("mic is undefined for NaN values")
-    if _grid_budget(len(x)) < 4 or _is_constant(x) or _is_constant(t):
-        return 0.0
-    return _GridSearch(t).mic_scores(x, ())[0]
 
 
 def shuffle_count(alpha: float, p: float) -> int:
@@ -432,22 +406,22 @@ def validation_curve(
 
 @dataclass
 class ReportConfig:
-    """The report settings a config file can set, under ``report.``.
+    """The report settings a config file can set, under ``report.``, in
+    the order the run manifest echoes them.
 
     Everything else a report uses comes from the trigger (the signal's
-    bin count) or is fixed (the default ``GBDTParams`` and the MIC
-    filter's constants).
+    bin count) or is fixed (the discriminator's 50 trees of depth 5, the
+    defaults of ``gbdt.GBDTParams``, and the MIC filter's constants).
     """
 
-    top_importances: int = 10
-    top_events: int = 100
     cv_folds: int = 5
+    top_events: int = 100
+    top_importances: int = 10
     validation_step: int | None = None
     validation_max_k: int | None = None
 
     def __post_init__(self):
-        check_counts(self, ("top_importances", "top_events", "cv_folds", "validation_step",
-                            "validation_max_k"))
+        check_counts(self)
         if self.cv_folds < 2:
             raise ConfigError("cv_folds must be at least 2")
         if self.top_events < 0 or self.top_importances < 0:

@@ -1,11 +1,12 @@
 """Small gradient-boosted tree classifier used as the alarm discriminator.
 
 Binary logistic boosting with exact greedy least-squares splits on
-presorted features. The scale is fixed and small (50 trees, depth 5), so
-exact splits are affordable and keep the fit fully deterministic: no
-subsampling, stable sorts, and first-lowest tie-breaking everywhere. Each
-node scores every split of every feature at once on presorted column
-blocks, as in XGBoost (Chen & Guestrin, KDD 2016).
+presorted features. The scale is fixed and small (50 trees, depth 5, each
+tree shrunk by ``LEARNING_RATE``), so exact splits are affordable and keep
+the fit fully deterministic: no subsampling, stable sorts, and first-lowest
+tie-breaking everywhere. Any node of two or more rows may split, and a leaf
+may hold one row. Each node scores every split of every feature at once on
+presorted column blocks, as in XGBoost (Chen & Guestrin, KDD 2016).
 """
 
 from __future__ import annotations
@@ -16,13 +17,14 @@ import pickle
 import signal
 import threading
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 PROBABILITY_CLIP = 1e-15
 HESSIAN_FLOOR = 1e-12
 GAIN_EPSILON = 1e-12
+LEARNING_RATE = 0.1
 
 
 class TrainingError(Exception):
@@ -62,9 +64,6 @@ class TrainingMatrix:
 class GBDTParams:
     n_trees: int = 50
     max_depth: int = 5
-    learning_rate: float = 0.1
-    min_samples_split: int = 2
-    min_samples_leaf: int = 1
 
 
 @dataclass
@@ -73,7 +72,6 @@ class TreeNode:
 
     feature: int | None = None
     threshold: float = 0.0
-    gain: float = 0.0
     left: "TreeNode | None" = None
     right: "TreeNode | None" = None
     value: float = 0.0
@@ -87,11 +85,9 @@ class TreeNode:
 class TreeEnsemble:
     initial_score: float
     trees: list[TreeNode]
-    learning_rate: float
     column_names: list[str]
     importance: np.ndarray
     train_losses: list[float]
-    split_gains: list[float] = field(default_factory=list)
     degenerate: bool = False
 
 
@@ -105,39 +101,38 @@ def _log_loss(y: np.ndarray, prob: np.ndarray) -> float:
     return float(-terms.sum() / len(y))
 
 
-def _best_split(values, grad, min_leaf):
+def _best_split(values, grad):
     """Best split of a node over all features: (gain, feature, position) or None.
 
     ``values`` and ``grad`` are (n_features, node_size) blocks, each row in
     its feature's sorted order, and ``position`` is the last left index in
-    it. Gain is S_l^2/n_l + S_r^2/n_r - S^2/n; ties go to the first position,
-    then to the lowest feature.
+    it, one of ``0 .. node_size - 2``. Gain is S_l^2/n_l + S_r^2/n_r - S^2/n;
+    ties go to the first position, then to the lowest feature. A node of
+    fewer than 2 rows has no split.
     """
     size = values.shape[1]
-    smallest = max(min_leaf, 1)
-    lo, hi = smallest - 1, size - smallest
-    if lo >= hi:
+    if size < 2:
         return None
     # Row-wise sums of C-contiguous rows are bit-identical to 1-D sums of
     # each row, and the in-place steps round as the plain gain expression.
     grad_total = grad.sum(axis=1)[:, None]
-    grad_left = np.cumsum(grad, axis=1)[:, lo:hi]
+    grad_left = np.cumsum(grad, axis=1)[:, :-1]
     grad_right = grad_total - grad_left
-    count_left = np.arange(lo + 1, hi + 1, dtype=np.float64)
+    count_left = np.arange(1, size, dtype=np.float64)
     gains = grad_left * grad_left
     gains /= count_left
     grad_right *= grad_right
     grad_right /= size - count_left
     gains += grad_right
     gains -= grad_total * grad_total / size
-    valid = values[:, lo:hi] < values[:, lo + 1:hi + 1]
+    valid = values[:, :-1] < values[:, 1:]
     np.copyto(gains, -np.inf, where=~valid)
     at = np.argmax(gains, axis=1)
     best = gains[np.arange(len(at)), at]
     feature = int(np.argmax(best))
     if not best[feature] > GAIN_EPSILON:
         return None
-    return float(best[feature]), feature, lo + int(at[feature])
+    return float(best[feature]), feature, int(at[feature])
 
 
 def _leaf_value(grad_sum: float, hess_sum: float) -> float:
@@ -152,7 +147,7 @@ def _take_rows(blocks, mask, width):
     return [block.take(at).reshape(-1, width) for block in blocks]
 
 
-def _build_tree(order, values, grad, hess, params, importance, split_gains, leaf_values):
+def _build_tree(order, values, grad, hess, max_depth, importance, leaf_values):
     """Grow one regression tree on the gradient, depth-first.
 
     A node carries three (n_features, node_size) blocks: its rows in each
@@ -166,9 +161,7 @@ def _build_tree(order, values, grad, hess, params, importance, split_gains, leaf
 
     def grow(order, values, node_grad, depth):
         size = order.shape[1]
-        found = None
-        if depth < params.max_depth and size >= params.min_samples_split:
-            found = _best_split(values, node_grad, params.min_samples_leaf)
+        found = _best_split(values, node_grad) if depth < max_depth else None
         if found is None:
             rows = order[0]
             value = _leaf_value(float(node_grad[0].sum()), float(hess[rows].sum()))
@@ -189,12 +182,10 @@ def _build_tree(order, values, grad, hess, params, importance, split_gains, leaf
         n_left = position + 1
 
         importance[feature] += gain
-        split_gains.append(gain)
         blocks = (order, values, node_grad)
         return TreeNode(
             feature=feature,
             threshold=threshold,
-            gain=gain,
             left=grow(*_take_rows(blocks, left, n_left), depth + 1),
             right=grow(*_take_rows(blocks, ~left, size - n_left), depth + 1),
         )
@@ -221,7 +212,7 @@ def fit(data: TrainingMatrix, params: GBDTParams | None = None) -> TreeEnsemble:
     """Boost least-squares trees on the logistic residual y - p.
 
     Per-leaf values take a Newton step (gradient sum over hessian sum)
-    and each tree is shrunk by the learning rate. Single-class data
+    and each tree is shrunk by ``LEARNING_RATE``. Single-class data
     yields a degenerate constant model, flagged as such.
     """
     params = params or GBDTParams()
@@ -238,38 +229,33 @@ def fit(data: TrainingMatrix, params: GBDTParams | None = None) -> TreeEnsemble:
     losses = [_log_loss(y, prob)]
     if positive_rate in (0.0, 1.0):
         return TreeEnsemble(
-            initial_score, [], params.learning_rate, list(data.column_names),
-            importance, losses, [], degenerate=True,
+            initial_score, [], list(data.column_names), importance, losses, degenerate=True,
         )
 
     columns = np.ascontiguousarray(data.x.T)
     order = np.argsort(columns, axis=1, kind="mergesort")
     values = np.take_along_axis(columns, order, axis=1)
     leaf_values = np.empty(data.n_rows, dtype=np.float64)
-    split_gains: list[float] = []
     trees = []
     for _ in range(params.n_trees):
         residual = y - prob
         hessian = prob * (1.0 - prob)
         tree = _build_tree(
-            order, values, residual, hessian, params, importance, split_gains,
-            leaf_values,
+            order, values, residual, hessian, params.max_depth, importance, leaf_values,
         )
         trees.append(tree)
         # The training rows reach the same leaves as in _tree_predict: a
         # split never separates equal values, so every left row is at or
         # below the threshold and every right row above it.
-        raw = raw + params.learning_rate * leaf_values
+        raw = raw + LEARNING_RATE * leaf_values
         prob = _sigmoid(raw)
         losses.append(_log_loss(y, prob))
 
-    return TreeEnsemble(
-        initial_score, trees, params.learning_rate, list(data.column_names),
-        importance, losses, split_gains,
-    )
+    return TreeEnsemble(initial_score, trees, list(data.column_names), importance, losses)
 
 
-def predict_raw(model: TreeEnsemble, x: np.ndarray) -> np.ndarray:
+def predict_proba(model: TreeEnsemble, x: np.ndarray) -> np.ndarray:
+    """Probability of label 1 per row."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if x.shape[1] != len(model.column_names):
         raise TrainingError(
@@ -277,13 +263,8 @@ def predict_raw(model: TreeEnsemble, x: np.ndarray) -> np.ndarray:
         )
     raw = np.full(x.shape[0], model.initial_score, dtype=np.float64)
     for tree in model.trees:
-        raw += model.learning_rate * _tree_predict(tree, x)
-    return raw
-
-
-def predict_proba(model: TreeEnsemble, x: np.ndarray) -> np.ndarray:
-    """Probability of label 1 per row."""
-    return _sigmoid(predict_raw(model, x))
+        raw += LEARNING_RATE * _tree_predict(tree, x)
+    return _sigmoid(raw)
 
 
 def feature_importance(model: TreeEnsemble) -> list[tuple[str, float]]:

@@ -73,8 +73,7 @@ class MonitorConfig:
     valley_count: int = 5
 
     def __post_init__(self):
-        check_counts(self, ("n_r", "n_t", "bin_count", "sketch_bins", "refractory_events",
-                            "min_signal_samples", "valley_count"))
+        check_counts(self)
         if self.n_r < 2 or self.n_t < 2:
             # Every alarm report cross-validates R against T, which needs at
             # least two rows of each window.

@@ -232,7 +232,8 @@ def _undecodable(exc: UnicodeDecodeError) -> StreamError:
 def _csv_rows(source: TextIO) -> Iterator[tuple[int, list[str]]]:
     """Yield ``(line_number, cells)`` per CSV row: the 1-based line the row starts on.
 
-    A blank line is skipped, as in JSON lines. A quoted cell can hold line
+    A blank line, empty or holding only whitespace (one cell that is all
+    whitespace), is skipped, as in JSON lines. A quoted cell can hold line
     breaks, so a row can span lines. The reader is strict, so a stray quote
     such as ``"x"y`` is an error rather than being read as ``xy``; the csv
     module's errors and undecodable text become :class:`StreamError`.
@@ -241,7 +242,7 @@ def _csv_rows(source: TextIO) -> Iterator[tuple[int, list[str]]]:
     line_number = 1
     try:
         for row in reader:
-            if row:
+            if row and not (len(row) == 1 and row[0].isspace()):
                 yield line_number, row
             line_number = reader.line_num + 1
     except csv.Error as exc:
@@ -288,8 +289,8 @@ def _json_cell(doc: dict, key: str, line_number: int) -> str:
     if value is None:
         return ""
     if type(value) is float or type(value) is int:
-        # The shortest round-trip text, as write_csv_stream writes a float;
-        # for a finite number it is also the JSON text.
+        # The repr of the parsed number, as write_csv_stream writes a float:
+        # not always the JSON text (1.50 gives "1.5", 1e5 "100000.0", NaN "nan").
         return repr(value)
     if isinstance(value, (list, dict)):
         raise StreamError(f"{key!r} holds a JSON array or object", line_number)
@@ -300,10 +301,12 @@ def read_jsonl_stream(source: TextIO, schema: FeatureSchema) -> Iterator[Event]:
     """Yield events from a JSON-lines stream with the same keys as the CSV columns.
 
     Each object is read as the CSV row holding the same values: null or a
-    missing key is an empty cell, a string is its text, and true, false
-    and numbers are their JSON text. An array or object value, and a line
-    that is not an object with ``timestamp`` and ``score`` keys, are
-    refused.
+    missing key is an empty cell, a string is its text, true and false
+    are their JSON text, and a number is the ``repr`` of the parsed value
+    (``1.50`` reads as ``1.5``, ``1e5`` as ``100000.0``, ``NaN`` as
+    ``nan``). An array or object value, and a line that is not an object
+    with ``timestamp`` and ``score`` keys, are refused. A blank line,
+    empty or holding only whitespace, is skipped.
     """
     columns = ("timestamp", "score", *schema.names)
     previous_ts = None

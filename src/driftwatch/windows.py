@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import numbers
 from collections import deque
-from dataclasses import dataclass, field
-from typing import NamedTuple
+from dataclasses import dataclass, field, fields
+from typing import NamedTuple, get_type_hints
 
 from .stream_model import Event
 
@@ -22,15 +22,23 @@ class ConfigError(Exception):
     """Invalid monitoring configuration value."""
 
 
-def check_counts(config, names) -> None:
-    """Raise :class:`ConfigError` unless each named field is None or an integer.
+def field_parsers(config_type) -> dict[str, type]:
+    """Each field of a config dataclass, in order, with the type a value is
+    parsed as: ``float`` for a field typed ``float``, ``int`` for any other."""
+    hints = get_type_hints(config_type)
+    return {f.name: float if hints[f.name] is float else int for f in fields(config_type)}
+
+
+def check_counts(config) -> None:
+    """Raise :class:`ConfigError` unless each field not typed ``float`` is
+    None or an integer.
 
     A bool or a float such as ``20.5`` is refused; numpy integers are fine.
     """
-    for name in names:
+    for name, parser in field_parsers(type(config)).items():
         value = getattr(config, name)
-        if value is not None and (isinstance(value, bool)
-                                  or not isinstance(value, numbers.Integral)):
+        if parser is int and value is not None and (
+                isinstance(value, bool) or not isinstance(value, numbers.Integral)):
             raise ConfigError(f"{name} must be an integer, got {value!r}")
 
 

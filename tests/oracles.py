@@ -10,7 +10,9 @@ search that the batched one in ``driftwatch.explain`` replaced, and the
 percentile sketch's wall sweep as it read before its loop carried the
 walls in locals, kept so each pair can be required to give identical
 results. ``ensemble_to_json`` is not a reference: it prints a fitted
-ensemble as text, so two fits can be compared exactly.
+ensemble as text, so two fits can be compared exactly. Nor is ``mic``: it
+scores one pair with the production search, ``explain._GridSearch``, which
+the burn-in filter runs on many pairs at once.
 """
 
 from __future__ import annotations
@@ -187,14 +189,15 @@ def _log_loss(y, prob, weights):
     return float(-(weights * terms).sum() / weights.sum())
 
 
-def find_split(values, grad, weight, min_leaf):
+def find_split(values, grad, weight):
     """Best split of one presorted column; returns (gain, position) or None.
 
-    ``position`` is the last index of the left part. Gain is the weighted
-    least-squares impurity reduction S_l^2/W_l + S_r^2/W_r - S^2/W.
+    ``position`` is the last index of the left part, so each part keeps at
+    least one row. Gain is the weighted least-squares impurity reduction
+    S_l^2/W_l + S_r^2/W_r - S^2/W.
     """
     n = len(values)
-    if n < 2 * min_leaf:
+    if n < 2:
         return None
     grad_left = np.cumsum(grad)[:-1]
     weight_left = np.cumsum(weight)[:-1]
@@ -204,9 +207,6 @@ def find_split(values, grad, weight, min_leaf):
     weight_right = weight_total - weight_left
 
     valid = values[:-1] < values[1:]
-    counts_left = np.arange(1, n)
-    valid &= counts_left >= min_leaf
-    valid &= (n - counts_left) >= min_leaf
     valid &= (weight_left > 0) & (weight_right > 0)
     if not valid.any():
         return None
@@ -222,7 +222,7 @@ def find_split(values, grad, weight, min_leaf):
     return float(gains[at]), at
 
 
-def build_tree(x, residual, hessian, weights, sorted_columns, params, importance, split_gains):
+def build_tree(x, residual, hessian, weights, sorted_columns, params, importance):
     """Grow one regression tree on the residuals, depth-first."""
     grad = residual * weights
     hess = hessian * weights
@@ -233,17 +233,14 @@ def build_tree(x, residual, hessian, weights, sorted_columns, params, importance
         grad_sum = float(grad[rows].sum())
         hess_sum = float(hess[rows].sum())
         leaf = gbdt.TreeNode(value=gbdt._leaf_value(grad_sum, hess_sum))
-        if depth >= params.max_depth or node_size < params.min_samples_split:
+        if depth >= params.max_depth or node_size < 2:
             return leaf
 
         best_gain = gbdt.GAIN_EPSILON
         best = None
         for feature in range(x.shape[1]):
             ordered = column_order[feature]
-            found = find_split(
-                x[ordered, feature], grad[ordered], weights[ordered],
-                params.min_samples_leaf,
-            )
+            found = find_split(x[ordered, feature], grad[ordered], weights[ordered])
             if found is not None and found[0] > best_gain:
                 best_gain, position = found
                 best = (feature, position)
@@ -264,11 +261,9 @@ def build_tree(x, residual, hessian, weights, sorted_columns, params, importance
         right_order = [order[~goes_left[order]] for order in column_order]
 
         importance[feature] += best_gain
-        split_gains.append(best_gain)
         return gbdt.TreeNode(
             feature=feature,
             threshold=threshold,
-            gain=best_gain,
             left=grow(left_order, depth + 1),
             right=grow(right_order, depth + 1),
         )
@@ -294,30 +289,26 @@ def reference_fit(data, params=None):
     losses = [_log_loss(y, gbdt._sigmoid(raw), weights)]
     if positive_rate in (0.0, 1.0):
         return gbdt.TreeEnsemble(
-            initial_score, [], params.learning_rate, list(data.column_names),
-            importance, losses, [], degenerate=True,
+            initial_score, [], list(data.column_names), importance, losses, degenerate=True,
         )
 
     sorted_columns = [
         np.argsort(data.x[:, j], kind="mergesort") for j in range(data.n_columns)
     ]
-    split_gains = []
     trees = []
     for _ in range(params.n_trees):
         prob = gbdt._sigmoid(raw)
         residual = y - prob
         hessian = prob * (1.0 - prob)
         tree = build_tree(
-            data.x, residual, hessian, weights, sorted_columns, params,
-            importance, split_gains,
+            data.x, residual, hessian, weights, sorted_columns, params, importance,
         )
         trees.append(tree)
-        raw = raw + params.learning_rate * gbdt._tree_predict(tree, data.x)
+        raw = raw + gbdt.LEARNING_RATE * gbdt._tree_predict(tree, data.x)
         losses.append(_log_loss(y, gbdt._sigmoid(raw), weights))
 
     return gbdt.TreeEnsemble(
-        initial_score, trees, params.learning_rate, list(data.column_names),
-        importance, losses, split_gains,
+        initial_score, trees, list(data.column_names), importance, losses,
     )
 
 
@@ -327,7 +318,6 @@ def _node_to_dict(node):
     return {
         "feature": node.feature,
         "threshold": node.threshold,
-        "gain": node.gain,
         "left": _node_to_dict(node.left),
         "right": _node_to_dict(node.right),
     }
@@ -338,7 +328,6 @@ def ensemble_to_json(model):
     return json.dumps(
         {
             "initial_score": model.initial_score,
-            "learning_rate": model.learning_rate,
             "column_names": model.column_names,
             "importance": list(model.importance),
             "train_losses": model.train_losses,
@@ -377,8 +366,30 @@ def _assignments(values, max_bins):
     return dict(enumerate(explain._axis_assignments(values, max_bins), start=2))
 
 
+def mic(x, t) -> float:
+    """Maximal information coefficient of one pair, by ``explain._GridSearch``.
+
+    Searches all grid shapes (a, b) with a, b >= 2 and a * b bounded by
+    n^0.6, normalizing the mutual information by log2(min(a, b)).
+    Deterministic, symmetric in its arguments, bounded in [0, 1], and 0
+    for a constant series. Raises ``ValueError`` on a length mismatch, on
+    input that is not 1-D and on NaN.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    t = np.asarray(t, dtype=np.float64)
+    if x.ndim != 1 or t.ndim != 1:
+        raise ValueError(f"mic needs 1-D series, got shapes {x.shape} and {t.shape}")
+    if len(x) != len(t):
+        raise ValueError(f"length mismatch: {len(x)} vs {len(t)}")
+    if np.isnan(x).any() or np.isnan(t).any():
+        raise ValueError("mic is undefined for NaN values")
+    if explain._grid_budget(len(x)) < 4 or explain._is_constant(x) or explain._is_constant(t):
+        return 0.0
+    return explain._GridSearch(t).mic_scores(x, ())[0]
+
+
 def reference_mic(x, t):
-    """``explain.mic`` through the grid-by-grid search."""
+    """:func:`mic` through the grid-by-grid search."""
     x = np.asarray(x, dtype=np.float64)
     t = np.asarray(t, dtype=np.float64)
     n = len(x)

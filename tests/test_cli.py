@@ -4,6 +4,7 @@ Everything runs through ``main`` in process; the console script points
 at the same function.
 """
 
+import dataclasses
 import json
 import math
 import os
@@ -341,6 +342,37 @@ class TestLibraryReports:
         code, _ = run_monitor(stream, tmp_path, "counted")
         assert code == EXIT_OK
         assert len(calls) == 1
+
+
+class TestConfigFile:
+    # A non-default value for every field of MonitorConfig and ReportConfig,
+    # in field order; floats where the field is typed float.
+    EVERY_KEY = {
+        "monitor": {"n_r": 500, "n_t": 120, "bin_count": 12, "threshold_percentile": 90.5,
+                    "sketch_bins": 30, "refractory_events": 60, "min_signal_samples": 400,
+                    "valley_percentile": 12.5, "valley_count": 3},
+        "report": {"cv_folds": 3, "top_events": 20, "top_importances": 4,
+                   "validation_step": 7, "validation_max_k": 100},
+    }
+
+    def test_every_field_is_a_key_parsed_with_its_type_and_echoed_in_field_order(
+        self, tmp_path
+    ):
+        lines = [f"{section}.{name} = {value}"
+                 for section, values in self.EVERY_KEY.items()
+                 for name, value in values.items()]
+        path = tmp_path / "every.conf"
+        path.write_text("\n".join(reversed(lines)) + "\n")
+        monitor_config, report_config, echo = load_run_config(str(path))
+        for section, config in (("monitor", monitor_config), ("report", report_config)):
+            defaults = type(config)(n_r=2, n_t=2) if section == "monitor" else type(config)()
+            names = [field.name for field in dataclasses.fields(config)]
+            assert list(self.EVERY_KEY[section]) == names
+            assert list(echo[section]) == names
+            for name, value in self.EVERY_KEY[section].items():
+                assert getattr(config, name) != getattr(defaults, name)
+                assert getattr(config, name) == value == echo[section][name]
+                assert type(echo[section][name]) is type(value)
 
 
 class TestReportCommand:

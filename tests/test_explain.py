@@ -28,7 +28,6 @@ from driftwatch import (
     build_report,
     encode,
     gbdt,
-    mic,
     rank_target_events,
     shuffle_count,
     time_correlation_filter,
@@ -40,7 +39,7 @@ from driftwatch.report import to_json_dict
 from driftwatch.windows import ConfigError
 
 from helpers import EMPTY_SCHEMA, schema_of, score_events
-from oracles import reference_filter, reference_mic
+from oracles import mic, reference_filter, reference_mic
 
 
 class TestMic:

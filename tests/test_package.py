@@ -8,7 +8,7 @@ import sys
 from pathlib import Path
 
 import driftwatch
-from driftwatch.cli import build_parser
+from driftwatch.cli import build_parser, load_run_config
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -74,3 +74,14 @@ def test_readme_names_only_live_cli_options():
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", readme))
     assert named - pip_options - live == set()
+
+
+def test_readme_config_example_loads(tmp_path):
+    # The example config block must use live keys with valid values.
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"The config file is flat .*?\n```\n(.*?)```", readme, re.DOTALL)
+    path = tmp_path / "example.conf"
+    path.write_text(block, encoding="utf-8")
+    monitor_config, _, echo = load_run_config(str(path))
+    assert (monitor_config.n_r, monitor_config.n_t) == (6000, 1000)
+    assert echo["report"]["cv_folds"] == 5

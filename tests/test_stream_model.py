@@ -278,23 +278,36 @@ class TestJsonlObjectIsCsvRow:
         assert events[0].extras_dict() == {"id": ""}
         assert events == parse_csv("timestamp,score,amount,channel,extra.id\n1,0.5,1.0,web,\n")
 
+    @pytest.mark.parametrize("number, text", [("1.50", "1.5"), ("1e5", "100000.0"),
+                                              ("NaN", "nan")])
+    def test_number_is_the_repr_of_the_parsed_value(self, number, text):
+        line = (f'{{"timestamp": 1, "score": 0.5, "amount": 1.0, "channel": {number}, '
+                f'"extra.id": {number}}}')
+        events = self.read_jsonl(line)
+        assert events[0].features[1] == text
+        assert events[0].extras_dict() == {"id": text}
+
 
 class TestBlankLines:
-    """A blank line is skipped in either format; later lines keep their numbers."""
+    """A blank line, empty or only whitespace, is skipped in either format;
+    later lines keep their numbers."""
 
     EVENTS = [Event(1, 0.5, (1.0, "web")), Event(2, 0.6, (2.0, "pos"))]
 
     @staticmethod
     def read(fmt, lines):
-        """Read header-less data ``lines`` (``None`` is a blank line) in ``fmt``."""
+        """Read header-less data ``lines`` in ``fmt``: ``None`` is an empty
+        line and a string a line holding just that text."""
         if fmt == "csv":
-            text = "timestamp,score,amount,channel\n" + "".join(
-                "\n" if line is None else ",".join(map(str, line)) + "\n" for line in lines)
+            cells = lambda line: ",".join(map(str, line))  # noqa: E731
+            text = "timestamp,score,amount,channel\n"
         else:
             keys = ("timestamp", "score", "amount", "channel")
-            text = "".join(
-                "\n" if line is None else json.dumps(dict(zip(keys, line))) + "\n"
-                for line in lines)
+            cells = lambda line: json.dumps(dict(zip(keys, line)))  # noqa: E731
+            text = ""
+        text += "".join(
+            ("" if line is None else line if isinstance(line, str) else cells(line)) + "\n"
+            for line in lines)
         return list(read_stream(io.StringIO(text), AMOUNT_CHANNEL, fmt))
 
     @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
@@ -304,9 +317,24 @@ class TestBlankLines:
         lines.insert(blank_at, None)
         assert self.read(fmt, lines) == self.EVENTS
 
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    @pytest.mark.parametrize("blank", ["   ", "\t \t"], ids=["spaces", "tabs"])
+    @pytest.mark.parametrize("blank_at", [1, 2], ids=["mid-stream", "at-end"])
+    def test_whitespace_only_line_skipped(self, fmt, blank, blank_at):
+        lines = [(1, 0.5, 1.0, "web"), (2, 0.6, 2.0, "pos")]
+        lines.insert(blank_at, blank)
+        assert self.read(fmt, lines) == self.EVENTS
+
     @pytest.mark.parametrize("fmt, line_number", [("csv", 5), ("jsonl", 4)])
     def test_later_bad_row_names_its_own_line(self, fmt, line_number):
         lines = [(1, 0.5, 1.0, "web"), None, None, (2, 0.6, "abc", "pos")]
+        with pytest.raises(StreamError, match="bad numeric value") as exc:
+            self.read(fmt, lines)
+        assert exc.value.line_number == line_number
+
+    @pytest.mark.parametrize("fmt, line_number", [("csv", 5), ("jsonl", 4)])
+    def test_bad_row_after_whitespace_lines_names_its_own_line(self, fmt, line_number):
+        lines = [(1, 0.5, 1.0, "web"), "  ", "\t", (2, 0.6, "abc", "pos")]
         with pytest.raises(StreamError, match="bad numeric value") as exc:
             self.read(fmt, lines)
         assert exc.value.line_number == line_number
