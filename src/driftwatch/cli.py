@@ -1,13 +1,13 @@
 """Command-line surface: replay monitoring, stream generation, report viewing.
 
-Exit codes: 0 success, 1 input error (unreadable, empty or non-UTF-8
-stream, unknown alarm id), 2 configuration error (missing or non-UTF-8
-schema, bad config value, overlapping drift segments). Every file is read
-and written as UTF-8. Configuration files are flat ``key = value`` text
-with dotted section prefixes: each field of ``MonitorConfig`` is a key
-under ``monitor.`` and each field of ``ReportConfig`` one under
-``report.``, read as a float if the field is typed ``float`` and as an
-integer otherwise.
+Exit codes: 0 success, 1 input or output error (unreadable, empty or
+non-UTF-8 stream, unknown alarm id, unwritable output), 2 configuration
+error (missing or non-UTF-8 schema, bad or repeated config key, negative
+seed, overlapping drift segments). Every file is read and written as
+UTF-8. Configuration files are flat ``key = value`` text with dotted
+section prefixes: each field of ``MonitorConfig`` is a key under
+``monitor.`` and each field of ``ReportConfig`` one under ``report.``,
+read as a float if the field is typed ``float`` and as an integer otherwise.
 
 The replay loop owns the monitor state and runs on one thread. Each alarm
 report is built and written synchronously at its trigger, before the next
@@ -61,8 +61,9 @@ def _read_text(path, what: str, exit_code: int) -> str:
         raise CliError(f"cannot read {what}: {exc}", exit_code) from exc
 
 
-def _parse_config_lines(text: str) -> dict[str, str]:
-    values: dict[str, str] = {}
+def _parse_config_lines(text: str) -> dict[str, tuple[int, str]]:
+    """Each key's line number and value text, in file order."""
+    values: dict[str, tuple[int, str]] = {}
     for line_number, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -73,7 +74,11 @@ def _parse_config_lines(text: str) -> dict[str, str]:
                 EXIT_CONFIG,
             )
         key, value = line.split("=", 1)
-        values[key.strip()] = value.strip()
+        key = key.strip()
+        if key in values:
+            raise CliError(f"config line {line_number}: {key!r} is already set on line "
+                           f"{values[key][0]}", EXIT_CONFIG)
+        values[key] = (line_number, value.strip())
     return values
 
 
@@ -87,7 +92,7 @@ def load_run_config(path: str) -> tuple[MonitorConfig, ReportConfig, dict]:
     parsers = {section: field_parsers(config_type)
                for section, config_type in _SECTIONS.items()}
     kwargs: dict[str, dict] = {section: {} for section in _SECTIONS}
-    for key, value in raw.items():
+    for key, (_, value) in raw.items():
         section, _, name = key.partition(".")
         parser = parsers.get(section, {}).get(name)
         if parser is None:
@@ -105,10 +110,6 @@ def load_run_config(path: str) -> tuple[MonitorConfig, ReportConfig, dict]:
         report_config = ReportConfig(**kwargs["report"])
     except ConfigError as exc:
         raise CliError(str(exc), EXIT_CONFIG) from exc
-    max_k = report_config.validation_max_k
-    if max_k is not None and max_k >= monitor_config.n_t:
-        # The validation curve peels up to max_k events from T.
-        raise CliError("report.validation_max_k must be less than monitor.n_t", EXIT_CONFIG)
 
     echo = {
         section: {name: getattr(config, name) for name in parsers[section]}
@@ -139,12 +140,15 @@ def cmd_monitor(args) -> int:
     input_path = Path(args.input)
     if not input_path.is_file():
         raise CliError(f"cannot read input: {input_path}", EXIT_INPUT)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     monitor = Monitor(monitor_config, seed=args.seed)
     digest = _sha256_of(input_path)
+    out_dir = Path(args.out)
     signal_path = out_dir / SIGNAL_FILE
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        sink = open(signal_path, "w", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise CliError(f"cannot write output: {exc}", EXIT_INPUT) from exc
 
     shared_filter = None
     report_paths: dict[int, dict[str, str]] = {}
@@ -153,10 +157,9 @@ def cmd_monitor(args) -> int:
 
     stream_format = "jsonl" if input_path.suffix == ".jsonl" else "csv"
 
-    with open(input_path, "r", encoding="utf-8", newline="") as source, \
-            open(signal_path, "w", encoding="utf-8", newline="") as sink:
-        sink.write("event_index,timestamp,signal,threshold,is_alarm\n")
+    with sink, open(input_path, "r", encoding="utf-8", newline="") as source:
         try:
+            sink.write("event_index,timestamp,signal,threshold,is_alarm\n")
             for event in read_stream(source, schema, stream_format):
                 point, trigger = monitor.step(event)
                 if point is not None:
@@ -189,6 +192,9 @@ def cmd_monitor(args) -> int:
                     )
         except StreamError as exc:
             raise CliError(str(exc), EXIT_INPUT) from exc
+        except OSError as exc:
+            # A write failed: reading the opened input fails only on a device fault.
+            raise CliError(f"cannot write output: {exc}", EXIT_INPUT) from exc
 
     if monitor.events_seen == 0:
         raise CliError("empty stream: no events", EXIT_INPUT)
@@ -214,8 +220,11 @@ def cmd_monitor(args) -> int:
         "alarms": alarm_summaries,
         "threshold_audit": monitor.threshold_audit(),
     }
-    (out_dir / MANIFEST_FILE).write_text(json.dumps(manifest, indent=2) + "\n",
-                                         encoding="utf-8")
+    try:
+        (out_dir / MANIFEST_FILE).write_text(json.dumps(manifest, indent=2) + "\n",
+                                             encoding="utf-8")
+    except OSError as exc:
+        raise CliError(f"cannot write output: {exc}", EXIT_INPUT) from exc
     return EXIT_OK
 
 
@@ -260,6 +269,14 @@ def cmd_report(args) -> int:
     return EXIT_OK
 
 
+def non_negative_int(text: str) -> int:
+    """A ``--seed`` value: numpy's seeding refuses negative integers."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="driftwatch",
@@ -273,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     monitor.add_argument("--config", required=True, help="flat key=value config file")
     monitor.add_argument("--out", required=True, help="output directory")
     monitor.add_argument(
-        "--seed", type=int, default=0,
+        "--seed", type=non_negative_int, default=0,
         help="seeds the report stages (MIC filter shuffles, validation curve, CV "
         "folds) and the threshold audit's sample; the signal, threshold and "
         "alarms do not depend on it",

@@ -35,6 +35,8 @@ from .windows import ConfigError, check_counts
 MIC_ESTIMATOR_NAME = "equi-frequency midrank grid search"
 SHUFFLE_ALPHA = 0.05
 SHUFFLE_CONFIDENCE = 0.95
+TOP_EVENTS = 100
+TOP_IMPORTANCES = 10
 
 
 def _rank_structure(values: np.ndarray):
@@ -361,11 +363,10 @@ def validation_curve(
     t_events: tuple[Event, ...],
     ranked_positions: list[int],
     bin_count: int,
-    step: int | None = None,
-    max_k: int | None = None,
     rng: np.random.Generator | None = None,
 ) -> ValidationCurve:
-    """Sweep k from 0 upward, removing events from T and recomputing the signal.
+    """Sweep k from 0 to half of T by steps of T // 50 (at least 1), removing
+    events from T and recomputing the signal.
 
     The ranked sweep peels events in ranking order; the random sweep peels
     a seeded random permutation, so each k's random removal set contains
@@ -373,14 +374,8 @@ def validation_curve(
     k = 0 entries equal the alarm signal exactly.
     """
     size = len(t_events)
-    if step is None:
-        step = max(1, size // 50)
-    if max_k is None:
-        max_k = size // 2
-    if not 0 <= max_k < size:
-        raise ValueError("max_k must be non-negative and leave at least one event in T")
-    if step < 1:
-        raise ValueError("step must be at least 1")
+    step = max(1, size // 50)
+    max_k = size // 2
     rng = rng or np.random.default_rng(0)
 
     hist_r = ScoreHistogram.from_scores((e.score for e in r_events), bin_count)
@@ -406,30 +401,20 @@ def validation_curve(
 
 @dataclass
 class ReportConfig:
-    """The report settings a config file can set, under ``report.``, in
-    the order the run manifest echoes them.
+    """The report setting a config file can set, under ``report.``.
 
-    Everything else a report uses comes from the trigger (the signal's
-    bin count) or is fixed (the discriminator's 50 trees of depth 5, the
-    defaults of ``gbdt.GBDTParams``, and the MIC filter's constants).
+    Everything else a report uses comes from the trigger (the signal's bin
+    count) or is fixed: the 50 trees of depth 5 of ``gbdt.GBDTParams``, the
+    MIC filter's constants, the validation curve's k grid, ``TOP_EVENTS``
+    and ``TOP_IMPORTANCES``.
     """
 
     cv_folds: int = 5
-    top_events: int = 100
-    top_importances: int = 10
-    validation_step: int | None = None
-    validation_max_k: int | None = None
 
     def __post_init__(self):
         check_counts(self)
         if self.cv_folds < 2:
             raise ConfigError("cv_folds must be at least 2")
-        if self.top_events < 0 or self.top_importances < 0:
-            raise ConfigError("top_events and top_importances must be non-negative")
-        if self.validation_step is not None and self.validation_step < 1:
-            raise ConfigError("validation_step must be at least 1")
-        if self.validation_max_k is not None and self.validation_max_k < 0:
-            raise ConfigError("validation_max_k must be non-negative")
 
 
 def _display_cell(event: Event, column: str, schema: FeatureSchema) -> str:
@@ -475,14 +460,12 @@ def build_report(trigger, schema: FeatureSchema, config: ReportConfig | None = N
         trigger.r_snapshot, trigger.t_snapshot,
         [position for position, _, _ in ranking],
         trigger.bin_count,
-        step=config.validation_step,
-        max_k=config.validation_max_k,
         rng=np.random.default_rng([seed, trigger.alarm_index, 1]),
     )
     cv = gbdt.kfold_auc(matrix, k=config.cv_folds, seed=[seed, trigger.alarm_index, 2])
 
     event_columns = [name for name, _ in importances]
-    top = ranking[: min(config.top_events, len(ranking))]
+    top = ranking[:TOP_EVENTS]
     rows = [
         RankedEventRow(
             rank=rank,
@@ -507,7 +490,7 @@ def build_report(trigger, schema: FeatureSchema, config: ReportConfig | None = N
         r_end_timestamp=r_snap[-1].timestamp,
         t_start_timestamp=t_snap[0].timestamp,
         t_end_timestamp=t_snap[-1].timestamp,
-        importances=importances[: config.top_importances],
+        importances=importances[:TOP_IMPORTANCES],
         event_columns=event_columns,
         ranked_events=rows,
         validation=curve,

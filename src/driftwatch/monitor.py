@@ -29,6 +29,8 @@ from .windows import ConfigError, WindowPair, check_counts
 
 BURN_IN_SAMPLE_SIZE = 1000
 VALLEY_POOL_SIZE = 4096
+VALLEY_COUNT = 5
+VALLEY_PERCENTILE = 10.0
 AUDIT_SAMPLE_SIZE = 4096
 
 
@@ -69,8 +71,6 @@ class MonitorConfig:
     sketch_bins: int = 100
     refractory_events: int | None = None
     min_signal_samples: int | None = None
-    valley_percentile: float = 10.0
-    valley_count: int = 5
 
     def __post_init__(self):
         check_counts(self)
@@ -82,10 +82,6 @@ class MonitorConfig:
             raise ConfigError("bin_count must be at least 1")
         if not 0.0 < self.threshold_percentile < 100.0:
             raise ConfigError("threshold_percentile must lie strictly inside (0, 100)")
-        if not 0.0 < self.valley_percentile < 100.0:
-            raise ConfigError("valley_percentile must lie strictly inside (0, 100)")
-        if self.valley_count < 0:
-            raise ConfigError("valley_count must be non-negative")
         if self.sketch_bins < 2:
             raise ConfigError("sketch_bins must be at least 2")
         if self.refractory_events is None:
@@ -129,7 +125,7 @@ class Monitor:
         self.alarm_count = 0
         self.last_alarm_index: int | None = None
         self.last_timestamp: int | None = None
-        self.valley_pool = ValleyPool(max(VALLEY_POOL_SIZE, 8 * config.valley_count))
+        self.valley_pool = ValleyPool(VALLEY_POOL_SIZE)
         self.audit_sample: list[float] = []
         self._audit_rng = random.Random(seed)
         self._burn_in_sample: list[Event] = []
@@ -224,16 +220,16 @@ class Monitor:
         return point, trigger
 
     def valleys(self) -> list[int]:
-        """Event indices of up to ``valley_count`` signal valleys so far.
+        """Event indices of up to ``VALLEY_COUNT`` signal valleys so far.
 
-        The cutoff is the sketch's ``valley_percentile`` of every signal
+        The cutoff is the sketch's ``VALLEY_PERCENTILE`` of every signal
         value consumed, read now; see :meth:`ValleyPool.select` for the
         rest of the rule. Reads state only, so repeated calls agree.
         """
         if not self.sketch.initialized:
             return []
-        cutoff = self.sketch.percentile(self.config.valley_percentile)
-        return self.valley_pool.select(self.config.valley_count, self.config.n_t, cutoff)
+        cutoff = self.sketch.percentile(VALLEY_PERCENTILE)
+        return self.valley_pool.select(VALLEY_COUNT, self.config.n_t, cutoff)
 
     def threshold_audit(self, threshold: float | None = None) -> dict | None:
         """How the consumed signal values sit against ``threshold``.
@@ -332,21 +328,16 @@ class ValleyPool:
         return accepted
 
 
-def select_valleys(
-    series: Sequence[SignalPoint],
-    count: int,
-    min_spacing: int,
-    valley_percentile: float = 10.0,
-) -> list[int]:
+def select_valleys(series: Sequence[SignalPoint], count: int, min_spacing: int) -> list[int]:
     """Valleys of a whole in-memory series, by the rule of :meth:`Monitor.valleys`.
 
     The pool holds every local minimum and the cutoff is the exact
-    ``valley_percentile`` of all the series' signal values.
+    ``VALLEY_PERCENTILE`` of all the series' signal values.
     """
     if not series:
         return []
     pool = ValleyPool(len(series))
     for point in series:
         pool.observe(point)
-    cutoff = float(np.percentile([p.signal for p in series], valley_percentile))
+    cutoff = float(np.percentile([p.signal for p in series], VALLEY_PERCENTILE))
     return pool.select(count, min_spacing, cutoff)

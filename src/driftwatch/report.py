@@ -117,10 +117,16 @@ def report_to_json(report: AlarmReport) -> str:
     return json.dumps(to_json_dict(report), indent=2)
 
 
+def _cell(value) -> str:
+    """``value`` as one Markdown table cell: ``|`` escaped, line breaks as ``<br>``."""
+    text = str(value).replace("|", "\\|")
+    return text.replace("\r\n", "<br>").replace("\r", "<br>").replace("\n", "<br>")
+
+
 def _table(header: list[str], rows: list[list[str]]) -> str:
-    lines = ["| " + " | ".join(header) + " |",
+    lines = ["| " + " | ".join(_cell(label) for label in header) + " |",
              "| " + " | ".join("---" for _ in header) + " |"]
-    lines += ["| " + " | ".join(str(cell) for cell in row) + " |" for row in rows]
+    lines += ["| " + " | ".join(_cell(cell) for cell in row) + " |" for row in rows]
     return "\n".join(lines)
 
 

@@ -349,10 +349,8 @@ class TestConfigFile:
     # in field order; floats where the field is typed float.
     EVERY_KEY = {
         "monitor": {"n_r": 500, "n_t": 120, "bin_count": 12, "threshold_percentile": 90.5,
-                    "sketch_bins": 30, "refractory_events": 60, "min_signal_samples": 400,
-                    "valley_percentile": 12.5, "valley_count": 3},
-        "report": {"cv_folds": 3, "top_events": 20, "top_importances": 4,
-                   "validation_step": 7, "validation_max_k": 100},
+                    "sketch_bins": 30, "refractory_events": 60, "min_signal_samples": 400},
+        "report": {"cv_folds": 3},
     }
 
     def test_every_field_is_a_key_parsed_with_its_type_and_echoed_in_field_order(
@@ -501,20 +499,26 @@ class TestExitCodes:
              "unknown config key"),
             ("monitor.n_r = 400\nmonitor.n_t = 150\nmonitor.bin_count = 0\n", "bin_count"),
             ("monitor.n_r = 400\nmonitor.n_t = 150\nmonitor.bin_count = -1\n", "bin_count"),
-            ("monitor.n_r = 400\nmonitor.n_t = 150\nreport.validation_step = 0\n",
-             "validation_step"),
-            ("monitor.n_r = 400\nmonitor.n_t = 150\nreport.validation_max_k = -5\n",
-             "validation_max_k"),
-            ("monitor.n_r = 400\nmonitor.n_t = 150\nreport.validation_max_k = 150\n",
-             "validation_max_k"),
-            ("monitor.n_r = 400\nmonitor.n_t = 150\nreport.top_events = -1\n", "top_events"),
-            ("monitor.n_r = 400\nmonitor.n_t = 150\nreport.top_importances = -1\n",
-             "top_importances"),
+            # Removed keys are unknown, even at their old defaults.
+            ("monitor.n_r = 400\nmonitor.n_t = 150\nmonitor.valley_percentile = 10.0\n",
+             "unknown config key 'monitor.valley_percentile'"),
+            ("monitor.n_r = 400\nmonitor.n_t = 150\nmonitor.valley_count = 5\n",
+             "unknown config key 'monitor.valley_count'"),
+            ("monitor.n_r = 400\nmonitor.n_t = 150\nreport.top_events = 100\n",
+             "unknown config key 'report.top_events'"),
+            ("monitor.n_r = 400\nmonitor.n_t = 150\nreport.top_importances = 10\n",
+             "unknown config key 'report.top_importances'"),
+            ("monitor.n_r = 400\nmonitor.n_t = 150\nreport.validation_step = 3\n",
+             "unknown config key 'report.validation_step'"),
+            ("monitor.n_r = 400\nmonitor.n_t = 150\nreport.validation_max_k = 75\n",
+             "unknown config key 'report.validation_max_k'"),
+            ("monitor.n_r = 400\nmonitor.n_t = 150\n# later\n monitor.n_r =50\n",
+             "config line 4: 'monitor.n_r' is already set on line 1"),
         ],
         ids=["cv_folds_1", "cv_folds_0", "n_t_1", "n_r_1", "report_workers",
-             "direction_policy", "bin_count_0", "bin_count_negative", "validation_step_0",
-             "validation_max_k_negative", "validation_max_k_n_t", "top_events_negative",
-             "top_importances_negative"],
+             "direction_policy", "bin_count_0", "bin_count_negative", "valley_percentile",
+             "valley_count", "top_events", "top_importances", "validation_step",
+             "validation_max_k", "key_set_twice"],
     )
     def test_setting_that_breaks_reports_is_a_config_error(
         self, workspace, tmp_path, capsys, settings, message
@@ -529,6 +533,42 @@ class TestExitCodes:
         assert code == EXIT_CONFIG
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    def test_negative_seed_is_a_usage_error_before_any_output(
+        self, workspace, tmp_path, capsys
+    ):
+        _, stream, _, _ = workspace
+        code, out = run_monitor(stream, tmp_path, "run", seed=-1)
+        assert code == EXIT_CONFIG
+        assert "--seed: must be a non-negative integer, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "out_name, blocker, blocker_kind",
+        [
+            ("taken", "taken", "file"),
+            ("taken/sub", "taken", "file"),
+            ("run", "run/signal.csv", "directory"),
+            ("run", "run/alarm_0000.json", "directory"),
+            ("run", "run/manifest.json", "directory"),
+        ],
+        ids=["out_is_a_file", "out_under_a_file", "signal_csv", "report", "manifest"],
+    )
+    def test_unwritable_output_is_an_input_error(
+        self, workspace, tmp_path, capsys, out_name, blocker, blocker_kind
+    ):
+        _, stream, _, _ = workspace
+        if blocker_kind == "file":
+            (tmp_path / blocker).write_text("")
+        else:
+            (tmp_path / blocker).mkdir(parents=True)
+        config = tmp_path / "c.conf"
+        config.write_text(BASE_CONFIG)
+        code = main(["monitor", "--input", str(stream),
+                     "--schema", str(stream) + ".schema.json",
+                     "--config", str(config), "--out", str(tmp_path / out_name)])
+        assert code == EXIT_INPUT
+        assert capsys.readouterr().err.startswith("error: cannot write output: ")
 
     def test_unknown_direction_policy_is_a_config_error(self, workspace, tmp_path):
         _, stream, _, _ = workspace

@@ -5,7 +5,9 @@ feature filter, snapshot encoding, target ranking, the validation curve
 sweep, and full report assembly.
 """
 
+import itertools
 import json
+import re
 import warnings
 
 import numpy as np
@@ -34,8 +36,8 @@ from driftwatch import (
     validation_curve,
 )
 from driftwatch.divergence import ScoreHistogram, jsd
-from driftwatch.explain import MODEL_SCORE_COLUMN, _GridSearch
-from driftwatch.report import to_json_dict
+from driftwatch.explain import MODEL_SCORE_COLUMN, TOP_EVENTS, TOP_IMPORTANCES, _GridSearch
+from driftwatch.report import render_markdown, to_json_dict
 from driftwatch.windows import ConfigError
 
 from helpers import EMPTY_SCHEMA, schema_of, score_events
@@ -366,7 +368,7 @@ def _curve_fixture():
 class TestValidationCurve:
     def test_k_zero_anchors_to_the_alarm_signal_exactly(self):
         r_events, t_events, ranked = _curve_fixture()
-        curve = validation_curve(r_events, t_events, ranked, 20, step=10, max_k=100)
+        curve = validation_curve(r_events, t_events, ranked, 20)
         hist_r = ScoreHistogram.from_scores((e.score for e in r_events), 20)
         hist_t = ScoreHistogram.from_scores((e.score for e in t_events), 20)
         anchor = jsd(hist_r, hist_t)
@@ -376,7 +378,7 @@ class TestValidationCurve:
 
     def test_peeling_the_drift_cluster_collapses_the_signal(self):
         r_events, t_events, ranked = _curve_fixture()
-        curve = validation_curve(r_events, t_events, ranked, 20, step=10, max_k=100)
+        curve = validation_curve(r_events, t_events, ranked, 20)
         at_cluster = curve.k_values.index(80)
         assert curve.ranked_jsd[at_cluster] < 0.05
         assert curve.random_jsd[at_cluster] > 3 * curve.ranked_jsd[at_cluster]
@@ -391,11 +393,8 @@ class TestValidationCurve:
 
     def test_random_sweep_is_seeded_and_nested(self):
         r_events, t_events, ranked = _curve_fixture()
-        kwargs = dict(bin_count=20, step=10, max_k=100)
-        one = validation_curve(r_events, t_events, ranked,
-                               rng=np.random.default_rng(9), **kwargs)
-        two = validation_curve(r_events, t_events, ranked,
-                               rng=np.random.default_rng(9), **kwargs)
+        one = validation_curve(r_events, t_events, ranked, 20, rng=np.random.default_rng(9))
+        two = validation_curve(r_events, t_events, ranked, 20, rng=np.random.default_rng(9))
         assert one.random_jsd == two.random_jsd
         # Nested removal: recomputing any k's value from the permutation
         # prefix must reproduce the sweep point.
@@ -407,13 +406,8 @@ class TestValidationCurve:
             )
             assert abs(jsd(hist_r, hist) - value) <= 1e-12
 
-    def test_max_k_must_leave_an_event_behind(self):
-        r_events, t_events, ranked = _curve_fixture()
-        with pytest.raises(ValueError):
-            validation_curve(r_events, t_events, ranked, 20, max_k=len(t_events))
 
-
-def _report_trigger(seed=17):
+def _report_trigger(seed=17, t_size=60):
     """A trigger whose T window mixes baseline and drifted events."""
     rng = np.random.default_rng(seed)
     schema = schema_of(("amount", NUMERIC), ("channel", CATEGORICAL))
@@ -427,7 +421,7 @@ def _report_trigger(seed=17):
     r_snapshot = tuple(event(i, rng.uniform(0.0, 0.4), False) for i in range(150))
     t_snapshot = tuple(
         event(200 + i, rng.uniform(0.5, 1.0) if i >= 20 else rng.uniform(0.0, 0.4), i >= 20)
-        for i in range(60)
+        for i in range(t_size)
     )
     burn_in = tuple(event(i, rng.uniform(0.0, 0.4), False) for i in range(300))
     trigger = AlarmTrigger(
@@ -452,7 +446,7 @@ class TestBuildReport:
 
     def test_event_columns_follow_importance_order(self, report):
         assert report.event_columns == [name for name, _ in report.importances]
-        assert len(report.importances) <= 10
+        assert len(report.importances) <= TOP_IMPORTANCES
         gains = [gain for _, gain in report.importances]
         assert gains == sorted(gains, reverse=True)
 
@@ -491,12 +485,11 @@ class TestBuildReport:
         assert curve.ranked_jsd[0] == curve.random_jsd[0] == trigger.signal
 
     def test_top_events_cap_applies(self):
-        trigger, schema = _report_trigger()
-        config = ReportConfig(top_events=25)
+        trigger, schema = _report_trigger(t_size=TOP_EVENTS + 20)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            capped = build_report(trigger, schema, config=config, seed=4)
-        assert len(capped.ranked_events) == 25
+            capped = build_report(trigger, schema, seed=4)
+        assert [row.rank for row in capped.ranked_events] == list(range(1, TOP_EVENTS + 1))
 
     def test_same_seed_reproduces_the_report_bit_for_bit(self, report):
         trigger, schema = _report_trigger()
@@ -530,14 +523,8 @@ class TestReportConfig:
             dict(cv_folds=1),
             dict(cv_folds=5.0),
             dict(cv_folds=True),
-            dict(top_events=-1),
-            dict(top_events=2.5),
-            dict(top_importances=-1),
-            dict(top_importances=np.float64(3.0)),
-            dict(validation_step=0),
-            dict(validation_step=1.5),
-            dict(validation_max_k=-5),
-            dict(validation_max_k=10.0),
+            dict(cv_folds=np.float64(3.0)),
+            dict(cv_folds=np.True_),
         ],
     )
     def test_bad_settings_rejected(self, overrides):
@@ -545,5 +532,33 @@ class TestReportConfig:
             ReportConfig(**overrides)
 
     def test_numpy_integer_counts_accepted(self):
-        config = ReportConfig(cv_folds=np.int64(3), validation_step=np.int32(2))
-        assert (config.cv_folds, config.validation_step) == (3, 2)
+        assert ReportConfig(cv_folds=np.int64(3)).cv_folds == 3
+        assert ReportConfig(cv_folds=np.int32(2)).cv_folds == 2
+
+
+class TestMarkdownTables:
+    def test_every_table_line_has_as_many_cells_as_its_header(self):
+        # Pipes and line breaks in a feature name, a category and an extra
+        # may not split or add cells.
+        schema = schema_of(("kind|x", CATEGORICAL), ("amount", NUMERIC))
+        kinds = ["a|b", "c\nd", "e\r\nf"]
+
+        def event(i, score):
+            return Event(i, score, (kinds[i % 3], float(i % 7)), extras=(("x|y", "p|q"),))
+
+        r_events = tuple(event(i, 0.1 + 0.01 * (i % 5)) for i in range(40))
+        t_events = tuple(event(100 + i, 0.8 + 0.01 * (i % 5)) for i in range(30))
+        trigger = AlarmTrigger(0, 129, 129, 0.5, 0.25, r_events, t_events, r_events)
+        report = build_report(trigger, schema, seed=0,
+                              filter_result=_passthrough_filter(schema))
+        markdown = render_markdown(report)
+        assert "a\\|b" in markdown and "c<br>d" in markdown and "e<br>f" in markdown
+        assert "| x\\|y |" in markdown and "p\\|q" in markdown
+        assert to_json_dict(report)["ranked_events"][0]["extras"] == {"x|y": "p|q"}
+
+        tables = [list(lines) for is_table, lines in itertools.groupby(
+            markdown.split("\n"), key=lambda line: line.startswith("|")) if is_table]
+        assert len(tables) == 5
+        for table in tables:
+            cells = [len(re.split(r"(?<!\\)\|", line)) - 2 for line in table]
+            assert cells == [cells[0]] * len(table)

@@ -16,7 +16,7 @@ from driftwatch import (
     SignalPoint,
     select_valleys,
 )
-from driftwatch.monitor import AUDIT_SAMPLE_SIZE, ValleyPool
+from driftwatch.monitor import AUDIT_SAMPLE_SIZE, VALLEY_COUNT, VALLEY_PERCENTILE, ValleyPool
 from driftwatch.stream_model import ScoreRangeError, StreamError, TimestampOrderError
 from driftwatch.windows import ConfigError
 
@@ -57,10 +57,8 @@ class TestConfig:
             dict(n_t=0),
             dict(threshold_percentile=0.0),
             dict(threshold_percentile=100.0),
-            dict(valley_percentile=0.0),
             dict(sketch_bins=1),
             dict(refractory_events=0),
-            dict(valley_count=-1),
             dict(n_t=1),
             dict(n_r=1),
             dict(n_r=20.5),
@@ -70,8 +68,6 @@ class TestConfig:
             dict(sketch_bins=20.5),
             dict(refractory_events=1.5),
             dict(min_signal_samples=np.float64(100.0)),
-            dict(valley_count=1.5),
-            dict(valley_count=np.True_),
         ],
     )
     def test_bad_settings_rejected(self, overrides):
@@ -134,9 +130,9 @@ class TestThresholdDiscipline:
             if monitor.windows.warmed_up:
                 reference.consume(monitor.signal_state.value())
         assert emitted > 2000
-        valley_level = reference.percentile(config.valley_percentile)
+        valley_level = reference.percentile(VALLEY_PERCENTILE)
         assert monitor.valleys() == monitor.valley_pool.select(
-            config.valley_count, config.n_t, valley_level
+            VALLEY_COUNT, config.n_t, valley_level
         )
 
     def test_raising_the_percentile_only_removes_alarms(self):
@@ -393,7 +389,7 @@ class TestSelectValleys:
         rng = np.random.default_rng(8)
         values = rng.uniform(0, 1, 500)
         series = [SignalPoint(i, i, float(v), 1.0, False) for i, v in enumerate(values)]
-        cutoff = np.percentile(values, 10.0)
+        cutoff = np.percentile(values, VALLEY_PERCENTILE)
         picked = select_valleys(series, 20, min_spacing=5)
         assert picked
         for index in picked:
@@ -402,7 +398,7 @@ class TestSelectValleys:
     def test_plateau_counts_as_a_valley_and_ties_go_earliest(self):
         values = [3.0, 1.0, 1.0, 3.0, 3.0]
         series = [SignalPoint(i, i, v, 10.0, False) for i, v in enumerate(values)]
-        assert select_valleys(series, 1, min_spacing=1, valley_percentile=50.0) == [1]
+        assert select_valleys(series, 1, min_spacing=1) == [1]
 
     def test_spacing_is_enforced_between_accepted_valleys(self):
         rng = np.random.default_rng(8)
@@ -462,14 +458,14 @@ class TestValleyPool:
 
     def test_monitor_cuts_at_the_sketch_valley_level_at_the_end(self):
         config = MonitorConfig(n_r=150, n_t=60, bin_count=10, sketch_bins=20,
-                               min_signal_samples=200, valley_count=4)
+                               min_signal_samples=200)
         monitor, points, _ = run_monitor(
             config, np.random.default_rng(11).uniform(0, 1, 3000), seed=2
         )
         picked = monitor.valleys()
         assert picked == monitor.valleys()
-        assert 0 < len(picked) <= 4
-        level = monitor.sketch.percentile(config.valley_percentile)
+        assert 0 < len(picked) <= VALLEY_COUNT
+        level = monitor.sketch.percentile(VALLEY_PERCENTILE)
         signals = {p.event_index: p.signal for p in points}
         assert all(signals[index] <= level for index in picked)
         ordered = sorted(picked)
