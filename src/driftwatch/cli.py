@@ -15,10 +15,14 @@ event is read, so reports come out in trigger order. There is no report
 pool: under the interpreter lock a thread pool made runs slower. Instead
 each report's k cross-validation folds are dealt between this process and
 one helper per extra usable CPU, forked with ``os.fork`` and sending its
-results back as pickles over a pipe (see ``gbdt._deal_folds``); a fold a
-helper does not deliver is fitted here, so outputs do not depend on the
-CPU count. A helper leaves by ``os._exit``, so it never flushes this
-process's open ``signal.csv``. Reports are built by
+results back as pickles over a pipe (see ``gbdt._deal_folds``). The
+helpers start before the full fit: on 2 CPUs the helper fits folds 0, 2
+and 4 while this process runs the full fit, the ranking and the
+validation curve and then folds 1 and 3. The MIC time filter deals its
+features over helpers the same way. A fold or feature a helper does not
+deliver is computed here, so outputs do not depend on the CPU count. A
+helper leaves by ``os._exit``, so it never flushes this process's open
+``signal.csv``. Reports are built by
 :func:`~driftwatch.explain.build_report` with the run seed, as a library
 caller would; the first one runs the MIC time filter and the rest reuse its
 result.

@@ -30,7 +30,7 @@ from .stream_model import (
     Event,
     FeatureSchema,
 )
-from .windows import ConfigError, check_counts
+from .windows import ConfigError, check_fields
 
 MIC_ESTIMATOR_NAME = "equi-frequency midrank grid search"
 SHUFFLE_ALPHA = 0.05
@@ -249,6 +249,13 @@ def time_correlation_filter(
     ``SHUFFLE_CONFIDENCE`` give. A feature is removed when its MIC
     exceeds that max. Per-feature problems never abort the filter; the
     feature is kept and its entry carries a warning.
+
+    Each feature draws its shuffles from one generator, in schema order,
+    constant features included. This process draws them all first and
+    keeps the generator's state before each feature's draws; the
+    non-constant features are then scored on every usable CPU (see
+    ``gbdt._deal_folds``), each redrawing its shuffles from its state, so
+    the result is the same on any number of CPUs.
     """
     if len(burn_in_events) == 0:
         raise ValueError("empty burn-in")
@@ -268,24 +275,34 @@ def time_correlation_filter(
     if _grid_budget(n) >= 4 and schema.features:
         search = _GridSearch(np.arange(n, dtype=np.float64))
 
-    entries = []
+    feature_warnings, searched = [], []
     for index, spec in enumerate(schema.features):
         if spec.kind == NUMERIC:
             series, warning = _numeric_series(sample, index)
         else:
             series, warning = _categorical_series(sample, index), None
-        if search is None or _is_constant(series):
-            entries.append(FeatureFilterEntry(spec.name, spec.kind, 0.0, 0.0, False, warning))
-            # The shuffle draws below must still happen so that the RNG
-            # consumption, and hence every later feature's threshold,
-            # does not depend on which features were constant.
-            for _ in range(shuffles):
-                rng.permutation(n)
-            continue
+        feature_warnings.append(warning)
+        if search is not None and not _is_constant(series):
+            searched.append((index, series, rng.bit_generator.state))
+        # A constant feature draws its shuffles too, so that no later
+        # threshold depends on which features were constant.
+        for _ in range(shuffles):
+            rng.permutation(n)
+
+    def score(task):
+        _, series, state = searched[task]
+        redraw = np.random.default_rng()
+        redraw.bit_generator.state = state
         observed, *null = search.mic_scores(
-            series, (rng.permutation(n) for _ in range(shuffles))
+            series, (redraw.permutation(n) for _ in range(shuffles))
         )
-        threshold = max(null)
+        return observed, max(null)
+
+    scores = dict(zip([index for index, _, _ in searched],
+                      gbdt._deal_folds(len(searched), score)))
+    entries = []
+    for index, (spec, warning) in enumerate(zip(schema.features, feature_warnings)):
+        observed, threshold = scores.get(index, (0.0, 0.0))
         entries.append(
             FeatureFilterEntry(
                 spec.name, spec.kind, observed, threshold, observed > threshold, warning
@@ -412,7 +429,7 @@ class ReportConfig:
     cv_folds: int = 5
 
     def __post_init__(self):
-        check_counts(self)
+        check_fields(self)
         if self.cv_folds < 2:
             raise ConfigError("cv_folds must be at least 2")
 
@@ -451,18 +468,24 @@ def build_report(trigger, schema: FeatureSchema, config: ReportConfig | None = N
     matrix, column_warnings = encode(
         trigger.r_snapshot, trigger.t_snapshot, schema, filter_result
     )
-    model = gbdt.fit(matrix)
-    importances = gbdt.feature_importance(model)
+    explained = []
 
-    t_rows = matrix.x[len(trigger.r_snapshot):]
-    ranking = rank_target_events(model, trigger.t_snapshot, t_rows)
-    curve = validation_curve(
-        trigger.r_snapshot, trigger.t_snapshot,
-        [position for position, _, _ in ranking],
-        trigger.bin_count,
-        rng=np.random.default_rng([seed, trigger.alarm_index, 1]),
-    )
-    cv = gbdt.kfold_auc(matrix, k=config.cv_folds, seed=[seed, trigger.alarm_index, 2])
+    def fit_and_rank():
+        # Runs while the CV helpers fit their folds.
+        model = gbdt.fit(matrix)
+        t_rows = matrix.x[len(trigger.r_snapshot):]
+        ranking = rank_target_events(model, trigger.t_snapshot, t_rows)
+        curve = validation_curve(
+            trigger.r_snapshot, trigger.t_snapshot,
+            [position for position, _, _ in ranking],
+            trigger.bin_count,
+            rng=np.random.default_rng([seed, trigger.alarm_index, 1]),
+        )
+        explained.append((gbdt.feature_importance(model), ranking, curve))
+
+    cv = gbdt.kfold_auc(matrix, k=config.cv_folds, seed=[seed, trigger.alarm_index, 2],
+                        meanwhile=fit_and_rank)
+    ((importances, ranking, curve),) = explained
 
     event_columns = [name for name, _ in importances]
     top = ranking[:TOP_EVENTS]

@@ -153,20 +153,25 @@ def _build_tree(order, values, grad, hess, max_depth, importance, leaf_values):
     A node carries three (n_features, node_size) blocks: its rows in each
     feature's sorted order, the sorted values and the gathered gradient.
     A split partitions all three by one mask, which keeps each row's order.
-    Nodes grow one at a time: a level-wise search with one cumsum across
-    nodes would round the prefix sums differently and change the trees.
-    Every row's leaf value is written into ``leaf_values``.
+    A child that cannot split (fewer than 2 rows, or at ``max_depth``)
+    takes only its rows and gradient in the first feature's order, which
+    are what its leaf value sums. Nodes grow one at a time: a level-wise
+    search with one cumsum across nodes would round the prefix sums
+    differently and change the trees. Every row's leaf value is written
+    into ``leaf_values``.
     """
     goes_left = np.zeros(len(hess), dtype=bool)
+
+    def leaf(rows, node_grad):
+        value = _leaf_value(float(node_grad.sum()), float(hess[rows].sum()))
+        leaf_values[rows] = value
+        return TreeNode(value=value)
 
     def grow(order, values, node_grad, depth):
         size = order.shape[1]
         found = _best_split(values, node_grad) if depth < max_depth else None
         if found is None:
-            rows = order[0]
-            value = _leaf_value(float(node_grad[0].sum()), float(hess[rows].sum()))
-            leaf_values[rows] = value
-            return TreeNode(value=value)
+            return leaf(order[0], node_grad[0])
 
         gain, feature, position = found
         low = values[feature, position]
@@ -175,19 +180,24 @@ def _build_tree(order, values, grad, hess, max_depth, importance, leaf_values):
         if not low < threshold < high:
             threshold = low
 
-        left_rows = order[feature, : position + 1]
+        n_left = position + 1
+        left_rows = order[feature, :n_left]
         goes_left[left_rows] = True
         left = goes_left[order]
         goes_left[left_rows] = False
-        n_left = position + 1
 
         importance[feature] += gain
-        blocks = (order, values, node_grad)
+
+        def child(mask, width):
+            if width < 2 or depth + 1 == max_depth:
+                return leaf(order[0][mask[0]], node_grad[0][mask[0]])
+            return grow(*_take_rows((order, values, node_grad), mask, width), depth + 1)
+
         return TreeNode(
             feature=feature,
             threshold=threshold,
-            left=grow(*_take_rows(blocks, left, n_left), depth + 1),
-            right=grow(*_take_rows(blocks, ~left, size - n_left), depth + 1),
+            left=child(left, n_left),
+            right=child(~left, size - n_left),
         )
 
     return grow(order, values, grad[order], 0)
@@ -321,6 +331,7 @@ def kfold_auc(
     k: int = 5,
     params: GBDTParams | None = None,
     seed: int = 0,
+    meanwhile=None,
 ) -> KFoldResult:
     """Stratified k-fold cross validation of the discriminator.
 
@@ -328,7 +339,9 @@ def kfold_auc(
     and dealt round-robin. If the minority class has fewer than k rows,
     k is reduced to that count with a warning. The folds are fitted on
     every usable CPU (see ``_deal_folds``); the result is the same on any
-    number of them.
+    number of them. ``meanwhile``, if given, is called once in this
+    process after the helpers start and before this process fits its own
+    folds, so other work can run beside them.
     """
     class_counts = [int((data.y == label).sum()) for label in (0, 1)]
     if min(class_counts) < 2:
@@ -354,7 +367,7 @@ def kfold_auc(
         points = roc_points(predict_proba(model, data.x[held]), data.y[held])
         return _area(points), points
 
-    folds = _deal_folds(k, run_fold)
+    folds = _deal_folds(k, run_fold, meanwhile)
     fold_aucs = [area for area, _ in folds]
     fold_rocs = [points for _, points in folds]
     return KFoldResult(float(np.mean(fold_aucs)), fold_aucs, fold_rocs, k)
@@ -367,21 +380,27 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _deal_folds(k: int, run_fold) -> list:
-    """``run_fold(fold)`` for every fold in ``range(k)``, dealt across the CPUs.
+def _deal_folds(tasks: int, run, meanwhile=None) -> list:
+    """``[run(task) for task in range(tasks)]``, dealt across the CPUs.
 
-    One helper process is forked per usable CPU beyond this one, at most
-    ``k - 1``, and none while another thread runs (a thread could hold a
-    lock that the forked copy would wait on forever). Fold ``f`` goes to
-    helper ``f mod (helpers + 1)`` when that is a helper's index and to this
-    process otherwise. A helper runs the same code on a forked copy of the
-    data, pickles each fold's result into a pipe and leaves by ``os._exit``,
-    so no exit handler runs and no inherited buffer is flushed in it. This
-    process then computes every fold that no helper delivered (no fork, a
-    fork that fails, a helper that dies), so the results never depend on
-    the helpers.
+    The tasks are the folds of ``kfold_auc`` or the features of
+    ``explain.time_correlation_filter``. One helper process is forked per
+    usable CPU beyond this one, at most ``tasks - 1``, and none while
+    another thread runs (a thread could hold a lock that the forked copy
+    would wait on forever). Task ``t`` goes to helper ``t mod (helpers +
+    1)`` when that is a helper's index and to this process otherwise. A
+    helper runs the same code on a forked copy of the data, pickles each
+    ``(task, result)`` into a pipe and leaves by ``os._exit``, so no exit
+    handler runs and no inherited buffer is flushed in it.
+
+    After the forks this process calls ``meanwhile()``, if given, once,
+    then runs its own tasks, then computes every task that no helper
+    delivered (no fork, a fork that fails, a helper that dies), so the
+    results never depend on the helpers. A raise, from ``meanwhile`` or a
+    task, stops every helper; every helper is reaped before this returns
+    or raises.
     """
-    helpers = min(_usable_cpus(), k) - 1
+    helpers = max(0, min(_usable_cpus(), tasks) - 1)
     if not hasattr(os, "fork") or threading.active_count() > 1:
         helpers = 0
     results = {}
@@ -399,20 +418,22 @@ def _deal_folds(k: int, run_fold) -> list:
                 try:
                     os.close(read_end)
                     with open(write_end, "wb") as writer:
-                        for fold in range(index, k, helpers + 1):
-                            pickle.dump((fold, *run_fold(fold)), writer)
+                        for task in range(index, tasks, helpers + 1):
+                            pickle.dump((task, run(task)), writer)
                             writer.flush()
                 finally:
                     os._exit(0)
             os.close(write_end)  # before the next fork: EOF when this helper exits
             started.append((pid, open(read_end, "rb")))
-        for fold in range(helpers, k, helpers + 1):
-            results[fold] = run_fold(fold)
+        if meanwhile is not None:
+            meanwhile()
+        for task in range(helpers, tasks, helpers + 1):
+            results[task] = run(task)
         for _, reader in started:
             try:
                 while True:
-                    fold, area, points = pickle.load(reader)
-                    results[fold] = area, points
+                    task, result = pickle.load(reader)
+                    results[task] = result
             except (EOFError, pickle.UnpicklingError, OSError):
                 pass
     except BaseException:
@@ -423,4 +444,4 @@ def _deal_folds(k: int, run_fold) -> list:
         for pid, reader in started:
             reader.close()
             os.waitpid(pid, 0)
-    return [results[fold] if fold in results else run_fold(fold) for fold in range(k)]
+    return [results[task] if task in results else run(task) for task in range(tasks)]

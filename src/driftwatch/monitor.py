@@ -25,7 +25,7 @@ import numpy as np
 from .divergence import DEFAULT_BIN_COUNT, IncrementalSignal
 from .spear import PercentileSketch
 from .stream_model import Event, check_score, check_timestamp
-from .windows import ConfigError, WindowPair, check_counts
+from .windows import ConfigError, WindowPair, check_fields
 
 BURN_IN_SAMPLE_SIZE = 1000
 VALLEY_POOL_SIZE = 4096
@@ -73,7 +73,7 @@ class MonitorConfig:
     min_signal_samples: int | None = None
 
     def __post_init__(self):
-        check_counts(self)
+        check_fields(self)
         if self.n_r < 2 or self.n_t < 2:
             # Every alarm report cross-validates R against T, which needs at
             # least two rows of each window.

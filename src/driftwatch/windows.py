@@ -13,7 +13,7 @@ from __future__ import annotations
 import numbers
 from collections import deque
 from dataclasses import dataclass, field, fields
-from typing import NamedTuple, get_type_hints
+from typing import NamedTuple, get_args, get_type_hints
 
 from .stream_model import Event
 
@@ -29,17 +29,23 @@ def field_parsers(config_type) -> dict[str, type]:
     return {f.name: float if hints[f.name] is float else int for f in fields(config_type)}
 
 
-def check_counts(config) -> None:
-    """Raise :class:`ConfigError` unless each field not typed ``float`` is
-    None or an integer.
+def check_fields(config) -> None:
+    """Raise :class:`ConfigError` unless each field holds a value of its type.
 
-    A bool or a float such as ``20.5`` is refused; numpy integers are fine.
+    A field typed ``float`` takes any real number, and any other field an
+    integer. None is taken only by a field typed ``int | None``. A bool is
+    refused everywhere, as is a float such as ``20.5`` for an integer
+    field; numpy numbers are fine.
     """
-    for name, parser in field_parsers(type(config)).items():
-        value = getattr(config, name)
-        if parser is int and value is not None and (
-                isinstance(value, bool) or not isinstance(value, numbers.Integral)):
-            raise ConfigError(f"{name} must be an integer, got {value!r}")
+    hints = get_type_hints(type(config))
+    for f in fields(config):
+        hint, value = hints[f.name], getattr(config, f.name)
+        if value is None and type(None) in get_args(hint):
+            continue
+        wanted, what = ((numbers.Real, "a number") if hint is float
+                        else (numbers.Integral, "an integer"))
+        if isinstance(value, bool) or not isinstance(value, wanted):
+            raise ConfigError(f"{f.name} must be {what}, got {value!r}")
 
 
 class PushResult(NamedTuple):

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import os
+
+import pytest
+
 from driftwatch import (
     CATEGORICAL,
     NUMERIC,
@@ -9,6 +13,7 @@ from driftwatch import (
     FeatureSchema,
     FeatureSpec,
     MonitorConfig,
+    gbdt,
 )
 
 EMPTY_SCHEMA = FeatureSchema(())
@@ -35,3 +40,34 @@ def tiny_monitor_config(**overrides) -> MonitorConfig:
     )
     settings.update(overrides)
     return MonitorConfig(**settings)
+
+
+def with_cpus(monkeypatch, count):
+    monkeypatch.setattr(gbdt, "_usable_cpus", lambda: count)
+
+
+def record_forks(monkeypatch, refuse_first=False):
+    """Wrap ``os.fork``; the returned list gets one entry per call.
+
+    Each entry is the helper's pid, or None for a fork that raised.
+    """
+    fork = os.fork
+    forks = []
+
+    def wrapped():
+        if refuse_first and not forks:
+            forks.append(None)
+            raise OSError("fork refused")
+        pid = fork()
+        forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", wrapped)
+    return forks
+
+
+def assert_reaped(forks):
+    for pid in forks:
+        if pid is not None:
+            with pytest.raises(ChildProcessError):
+                os.waitpid(pid, os.WNOHANG)

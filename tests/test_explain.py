@@ -7,7 +7,9 @@ sweep, and full report assembly.
 
 import itertools
 import json
+import os
 import re
+import time
 import warnings
 
 import numpy as np
@@ -40,7 +42,14 @@ from driftwatch.explain import MODEL_SCORE_COLUMN, TOP_EVENTS, TOP_IMPORTANCES, 
 from driftwatch.report import render_markdown, to_json_dict
 from driftwatch.windows import ConfigError
 
-from helpers import EMPTY_SCHEMA, schema_of, score_events
+from helpers import (
+    EMPTY_SCHEMA,
+    assert_reaped,
+    record_forks,
+    schema_of,
+    score_events,
+    with_cpus,
+)
 from oracles import mic, reference_filter, reference_mic
 
 
@@ -259,6 +268,74 @@ class TestTimeCorrelationFilter:
     def test_empty_burn_in_rejected(self):
         with pytest.raises(ValueError):
             time_correlation_filter([], schema_of(("a", NUMERIC)), seed=0)
+
+
+def _mixed_burn_in(n=1000, seed=3):
+    """Burn-in led by a constant feature, then an all-missing numeric, a
+    categorical, an order-tracking and a noise feature."""
+    rng = np.random.default_rng(seed)
+    schema = schema_of(("flat", NUMERIC), ("empty", NUMERIC), ("plan", CATEGORICAL),
+                       ("clock", NUMERIC), ("noise", NUMERIC))
+    plans = ["web", "pos", "api"]
+    events = [
+        Event(i, 0.5, (1.0, MISSING, plans[int(rng.integers(3))],
+                       i + 50.0 * float(rng.normal()), float(rng.normal())))
+        for i in range(n)
+    ]
+    return events, schema
+
+
+def filter_bits(result):
+    """Every float of a ``MicFilterResult`` in hex, which tells -0.0 from 0.0."""
+    return [(f.mic.hex(), f.shuffle_threshold.hex()) for f in result.features]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+class TestFilterHelpers:
+    """The filter deals its non-constant features to the CV fold helpers."""
+
+    def test_same_result_on_any_cpu_count(self, monkeypatch):
+        events, schema = _mixed_burn_in()
+        forks = record_forks(monkeypatch)
+        results = []
+        for count in (1, 2, 4):
+            with_cpus(monkeypatch, count)
+            results.append(time_correlation_filter(events, schema, seed=7))
+        for result in results[1:]:
+            assert result == results[0]
+            assert filter_bits(result) == filter_bits(results[0])
+        # Three features need a search: plan, clock and noise.
+        assert len(forks) == 0 + 1 + 2
+        assert_reaped(forks)
+        assert [(f.mic, f.shuffle_threshold, f.removed) for f in results[0].features] == (
+            reference_filter(events, schema, 7)
+        )
+        assert results[0].removed_names() == ("clock",)
+        assert results[0].features[1].warning == "all values missing"
+
+    def test_helper_that_dies_mid_filter(self, monkeypatch):
+        events, schema = _mixed_burn_in()
+        with_cpus(monkeypatch, 1)
+        expected = time_correlation_filter(events, schema, seed=7)
+        caller = os.getpid()
+        scores = _GridSearch.mic_scores
+        searches = []
+
+        def dies_in_the_helper(self, x, perms):
+            if os.getpid() != caller:
+                if searches:
+                    os._exit(1)
+                searches.append(None)
+            return scores(self, x, perms)
+
+        forks = record_forks(monkeypatch)
+        monkeypatch.setattr(_GridSearch, "mic_scores", dies_in_the_helper)
+        with_cpus(monkeypatch, 2)
+        result = time_correlation_filter(events, schema, seed=7)
+        assert result == expected
+        assert filter_bits(result) == filter_bits(expected)
+        assert len(forks) == 1
+        assert_reaped(forks)
 
 
 def _kept(name, kind):
@@ -516,6 +593,59 @@ class TestBuildReport:
         assert built.filter_result is filt
 
 
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+class TestReportHelpers:
+    """``build_report`` starts the CV fold helpers before its full fit."""
+
+    def test_helpers_fork_before_the_full_fit(self, monkeypatch):
+        trigger, schema = _report_trigger()
+        filt = _passthrough_filter(schema)
+        with_cpus(monkeypatch, 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            alone = build_report(trigger, schema, seed=4, filter_result=filt)
+        calls = []
+        fork, fit = os.fork, gbdt.fit
+
+        def recorded_fork():
+            calls.append("fork")
+            return fork()
+
+        def recorded_fit(*args, **kwargs):
+            calls.append("fit")
+            return fit(*args, **kwargs)
+
+        monkeypatch.setattr(os, "fork", recorded_fork)
+        monkeypatch.setattr(gbdt, "fit", recorded_fit)
+        with_cpus(monkeypatch, 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            dealt = build_report(trigger, schema, seed=4, filter_result=filt)
+        # One helper fits folds 0, 2 and 4; this process the full fit,
+        # then folds 1 and 3.
+        assert calls == ["fork", "fit", "fit", "fit"]
+        assert json.dumps(to_json_dict(dealt)) == json.dumps(to_json_dict(alone))
+
+    def test_no_helper_outlives_a_raising_full_fit(self, monkeypatch):
+        trigger, schema = _report_trigger()
+        caller = os.getpid()
+
+        def fails_in_the_caller(*args, **kwargs):
+            if os.getpid() == caller:
+                raise RuntimeError("full fit failed")
+            time.sleep(60)
+
+        forks = record_forks(monkeypatch)
+        monkeypatch.setattr(gbdt, "fit", fails_in_the_caller)
+        with_cpus(monkeypatch, 4)
+        start = time.monotonic()
+        with pytest.raises(RuntimeError, match="full fit failed"):
+            build_report(trigger, schema, seed=4, filter_result=_passthrough_filter(schema))
+        assert time.monotonic() - start < 30
+        assert len(forks) == 3
+        assert_reaped(forks)
+
+
 class TestReportConfig:
     @pytest.mark.parametrize(
         "overrides",
@@ -525,6 +655,7 @@ class TestReportConfig:
             dict(cv_folds=True),
             dict(cv_folds=np.float64(3.0)),
             dict(cv_folds=np.True_),
+            dict(cv_folds=None),
         ],
     )
     def test_bad_settings_rejected(self, overrides):

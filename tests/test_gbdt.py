@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from driftwatch import gbdt
+from helpers import assert_reaped, record_forks, with_cpus
 from oracles import ensemble_to_json, pair_count_auc, reference_fit
 
 
@@ -181,6 +182,22 @@ class TestExactnessOracle:
     def test_same_ensemble_on_tiny_inputs(self, x, y):
         assert_same_ensemble(matrix(x, np.asarray(y, dtype=np.int64)), None)
 
+    @pytest.mark.parametrize("kind", ["normal", "ties"])
+    def test_same_ensemble_when_most_leaves_hold_a_few_rows(self, kind):
+        # 400 rows split to depth 6 leave most leaves with 1-3 rows.
+        data = oracle_case(400, 400, 8, kind)
+        assert_same_ensemble(data, gbdt.GBDTParams(n_trees=8, max_depth=6))
+
+    def test_same_ensemble_when_a_root_child_is_one_row(self):
+        x = np.arange(30, dtype=np.float64)[:, None]
+        y = np.zeros(30, dtype=np.int64)
+        y[-1] = 1
+        data = matrix(x, y)
+        root = gbdt.fit(data).trees[0]
+        assert root.right.is_leaf
+        assert (x[:, 0] > root.threshold).sum() == 1
+        assert_same_ensemble(data, None)
+
 
 class TestRankInvariance:
     def test_rank_transform_keeps_structure(self):
@@ -270,10 +287,6 @@ class TestKfold:
         assert a.fold_aucs == b.fold_aucs
 
 
-def with_cpus(monkeypatch, count):
-    monkeypatch.setattr(gbdt, "_usable_cpus", lambda: count)
-
-
 def bits(result):
     """Every float of a ``KFoldResult`` in hex, which tells -0.0 from 0.0."""
     return (
@@ -287,33 +300,6 @@ def bits(result):
 def assert_bit_identical(a, b):
     assert a == b
     assert bits(a) == bits(b)
-
-
-def record_forks(monkeypatch, refuse_first=False):
-    """Wrap ``os.fork``; the returned list gets one entry per call.
-
-    Each entry is the helper's pid, or None for a fork that raised.
-    """
-    fork = os.fork
-    forks = []
-
-    def wrapped():
-        if refuse_first and not forks:
-            forks.append(None)
-            raise OSError("fork refused")
-        pid = fork()
-        forks.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", wrapped)
-    return forks
-
-
-def assert_reaped(forks):
-    for pid in forks:
-        if pid is not None:
-            with pytest.raises(ChildProcessError):
-                os.waitpid(pid, os.WNOHANG)
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
@@ -447,6 +433,62 @@ class TestFoldHelpers:
         start = time.monotonic()
         with pytest.raises(RuntimeError, match="fit failed"):
             gbdt.kfold_auc(step_problem(seed=8), k=5, seed=0)
+        assert time.monotonic() - start < 30
+        assert len(forks) == 3
+        assert_reaped(forks)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+class TestDealFolds:
+    """``_deal_folds`` on tasks other than folds, and its ``meanwhile`` call."""
+
+    def test_no_tasks_forks_nothing(self, monkeypatch):
+        forks = record_forks(monkeypatch)
+        with_cpus(monkeypatch, 4)
+        calls = []
+        assert gbdt._deal_folds(0, lambda task: task, lambda: calls.append(None)) == []
+        assert forks == []
+        assert calls == [None]
+
+    @pytest.mark.parametrize("count", [1, 2, 4])
+    def test_any_result_comes_back_unchanged(self, monkeypatch, count):
+        def run(task):
+            return {"task": task, "rows": np.arange(task, dtype=np.float64) / 3}
+
+        forks = record_forks(monkeypatch)
+        with_cpus(monkeypatch, count)
+        results = gbdt._deal_folds(5, run)
+        assert len(forks) == count - 1
+        assert_reaped(forks)
+        assert [r["task"] for r in results] == list(range(5))
+        for got, expected in zip(results, map(run, range(5))):
+            assert got["rows"].tobytes() == expected["rows"].tobytes()
+
+    def test_meanwhile_runs_once_here_after_the_forks(self, monkeypatch):
+        forks = record_forks(monkeypatch)
+        with_cpus(monkeypatch, 4)
+        caller = os.getpid()
+        calls = []
+
+        def meanwhile():
+            calls.append((os.getpid(), len(forks)))
+
+        assert gbdt._deal_folds(5, lambda task: task * task, meanwhile) == [0, 1, 4, 9, 16]
+        assert calls == [(caller, 3)]
+        assert_reaped(forks)
+
+    def test_no_helper_outlives_a_raising_meanwhile(self, monkeypatch):
+        def meanwhile():
+            raise RuntimeError("meanwhile failed")
+
+        def run(task):
+            time.sleep(60)
+
+        forks = record_forks(monkeypatch)
+        with_cpus(monkeypatch, 4)
+        start = time.monotonic()
+        with pytest.raises(RuntimeError, match="meanwhile failed"):
+            gbdt._deal_folds(5, run, meanwhile)
         assert time.monotonic() - start < 30
         assert len(forks) == 3
         assert_reaped(forks)

@@ -68,6 +68,13 @@ class TestConfig:
             dict(sketch_bins=20.5),
             dict(refractory_events=1.5),
             dict(min_signal_samples=np.float64(100.0)),
+            dict(n_r=None),
+            dict(n_t=None),
+            dict(bin_count=None),
+            dict(sketch_bins=None),
+            dict(threshold_percentile=None),
+            dict(threshold_percentile="95"),
+            dict(threshold_percentile=True),
         ],
     )
     def test_bad_settings_rejected(self, overrides):
@@ -79,6 +86,11 @@ class TestConfig:
     def test_numpy_integer_counts_accepted(self):
         config = MonitorConfig(n_r=np.int64(50), n_t=np.int32(20), sketch_bins=np.int64(10))
         assert config.burn_in_events == 50 + 20 + 100
+
+    def test_percentile_takes_any_real_number(self):
+        for percentile in (90, np.int64(90), np.float32(90.0)):
+            config = MonitorConfig(n_r=50, n_t=20, threshold_percentile=percentile)
+            assert config.threshold_percentile == percentile
 
 
 class TestEmissionGating:
