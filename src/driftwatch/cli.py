@@ -145,7 +145,10 @@ def cmd_monitor(args) -> int:
     if not input_path.is_file():
         raise CliError(f"cannot read input: {input_path}", EXIT_INPUT)
     monitor = Monitor(monitor_config, seed=args.seed)
-    digest = _sha256_of(input_path)
+    try:
+        digest = _sha256_of(input_path)
+    except OSError as exc:
+        raise CliError(f"cannot read input: {exc}", EXIT_INPUT) from exc
     out_dir = Path(args.out)
     signal_path = out_dir / SIGNAL_FILE
     try:

@@ -49,7 +49,9 @@ class ScoreHistogram:
     """Equal-width histogram of scores on [0, 1].
 
     ``counts`` is a list of Python ints (any given sequence is converted),
-    so add/remove sequences and batch builds agree exactly.
+    so add/remove sequences and batch builds agree exactly. A bin count
+    below 1, a counts length other than ``bin_count``, a negative count
+    or a ``total`` other than the counts' sum raises ``ValueError``.
     """
 
     bin_count: int = DEFAULT_BIN_COUNT
@@ -57,10 +59,18 @@ class ScoreHistogram:
     total: int = 0
 
     def __post_init__(self):
+        if self.bin_count < 1:
+            raise ValueError(f"bin_count must be at least 1, got {self.bin_count}")
         if self.counts is None:
             self.counts = [0] * self.bin_count
         else:
             self.counts = [int(c) for c in self.counts]
+        if len(self.counts) != self.bin_count:
+            raise ValueError(f"{len(self.counts)} counts for {self.bin_count} bins")
+        if min(self.counts) < 0:
+            raise ValueError(f"negative count in {self.counts}")
+        if self.total != sum(self.counts):
+            raise ValueError(f"total {self.total} is not the counts' sum {sum(self.counts)}")
 
     @classmethod
     def from_scores(cls, scores: Iterable[float], bin_count: int = DEFAULT_BIN_COUNT) -> "ScoreHistogram":

@@ -353,14 +353,14 @@ def encode(
     return gbdt.TrainingMatrix(x, y, names), column_warnings
 
 
-def rank_target_events(
-    model: gbdt.TreeEnsemble, t_events: tuple[Event, ...], t_rows: np.ndarray
-) -> list[tuple[int, Event, float]]:
+def rank_target_events(t_events: tuple[Event, ...],
+                       scores: np.ndarray) -> list[tuple[int, Event, float]]:
     """T events by alarm score descending; score ties go to newer events.
 
-    Returns (position-in-T, event, alarm score) triples in rank order.
+    ``scores`` are the T events' alarm scores in T order, the full model's
+    ``train_prob`` on the T rows. Returns (position-in-T, event, alarm
+    score) triples in rank order.
     """
-    scores = gbdt.predict_proba(model, t_rows)
     order = sorted(range(len(t_events)), key=lambda i: (-scores[i], -i))
     return [(i, t_events[i], float(scores[i])) for i in order]
 
@@ -473,8 +473,8 @@ def build_report(trigger, schema: FeatureSchema, config: ReportConfig | None = N
     def fit_and_rank():
         # Runs while the CV helpers fit their folds.
         model = gbdt.fit(matrix)
-        t_rows = matrix.x[len(trigger.r_snapshot):]
-        ranking = rank_target_events(model, trigger.t_snapshot, t_rows)
+        t_scores = model.train_prob[len(trigger.r_snapshot):]
+        ranking = rank_target_events(trigger.t_snapshot, t_scores)
         curve = validation_curve(
             trigger.r_snapshot, trigger.t_snapshot,
             [position for position, _, _ in ranking],

@@ -12,6 +12,7 @@ presorted column blocks, as in XGBoost (Chen & Guestrin, KDD 2016).
 from __future__ import annotations
 
 import math
+import numbers
 import os
 import pickle
 import signal
@@ -83,11 +84,14 @@ class TreeNode:
 
 @dataclass
 class TreeEnsemble:
+    """A fitted model; ``train_prob`` is ``predict_proba`` of its training rows, bit for bit."""
+
     initial_score: float
     trees: list[TreeNode]
     column_names: list[str]
     importance: np.ndarray
     train_losses: list[float]
+    train_prob: np.ndarray
     degenerate: bool = False
 
 
@@ -239,7 +243,7 @@ def fit(data: TrainingMatrix, params: GBDTParams | None = None) -> TreeEnsemble:
     losses = [_log_loss(y, prob)]
     if positive_rate in (0.0, 1.0):
         return TreeEnsemble(
-            initial_score, [], list(data.column_names), importance, losses, degenerate=True,
+            initial_score, [], list(data.column_names), importance, losses, prob, degenerate=True,
         )
 
     columns = np.ascontiguousarray(data.x.T)
@@ -261,7 +265,7 @@ def fit(data: TrainingMatrix, params: GBDTParams | None = None) -> TreeEnsemble:
         prob = _sigmoid(raw)
         losses.append(_log_loss(y, prob))
 
-    return TreeEnsemble(initial_score, trees, list(data.column_names), importance, losses)
+    return TreeEnsemble(initial_score, trees, list(data.column_names), importance, losses, prob)
 
 
 def predict_proba(model: TreeEnsemble, x: np.ndarray) -> np.ndarray:
@@ -341,8 +345,11 @@ def kfold_auc(
     every usable CPU (see ``_deal_folds``); the result is the same on any
     number of them. ``meanwhile``, if given, is called once in this
     process after the helpers start and before this process fits its own
-    folds, so other work can run beside them.
+    folds, so other work can run beside them. A k that is not an integer
+    of at least 2 raises ``ValueError``.
     """
+    if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 2:
+        raise ValueError(f"k must be an integer of at least 2, got {k!r}")
     class_counts = [int((data.y == label).sum()) for label in (0, 1)]
     if min(class_counts) < 2:
         raise TrainingError("cross validation needs at least 2 rows of each class")

@@ -288,10 +288,6 @@ def _json_cell(doc: dict, key: str, line_number: int) -> str:
         return value
     if value is None:
         return ""
-    if type(value) is float or type(value) is int:
-        # The repr of the parsed number, as write_csv_stream writes a float:
-        # not always the JSON text (1.50 gives "1.5", 1e5 "100000.0", NaN "nan").
-        return repr(value)
     if isinstance(value, (list, dict)):
         raise StreamError(f"{key!r} holds a JSON array or object", line_number)
     return json.dumps(value)  # true or false
@@ -302,12 +298,13 @@ def read_jsonl_stream(source: TextIO, schema: FeatureSchema) -> Iterator[Event]:
 
     Each object is read as the CSV row holding the same values: null or a
     missing key is an empty cell, a string is its text, true and false
-    are their JSON text, and a number is the ``repr`` of the parsed value
-    (``1.50`` reads as ``1.5``, ``1e5`` as ``100000.0``, ``NaN`` as
-    ``nan``). An array or object value, and a line that is not an object
-    with ``timestamp`` and ``score`` keys, are refused. A blank line,
-    empty or holding only whitespace, is skipped.
+    are their JSON text, and a number is its JSON text, as a CSV cell
+    holds it (``1.50``, ``1e5`` and ``NaN`` stay as written). An array or
+    object value, and a line that is not an object with ``timestamp`` and
+    ``score`` keys, are refused. A blank line, empty or holding only
+    whitespace, is skipped.
     """
+    decode = json.JSONDecoder(parse_float=str, parse_int=str, parse_constant=str).decode
     columns = ("timestamp", "score", *schema.names)
     previous_ts = None
     try:
@@ -316,8 +313,8 @@ def read_jsonl_stream(source: TextIO, schema: FeatureSchema) -> Iterator[Event]:
             if not line:
                 continue
             try:
-                doc = json.loads(line)
-            except ValueError as exc:  # also an integer past the interpreter's digit limit
+                doc = decode(line)
+            except json.JSONDecodeError as exc:
                 raise StreamError(f"bad JSON: {exc}", line_number) from exc
             if not isinstance(doc, dict) or "timestamp" not in doc or "score" not in doc:
                 raise StreamError("expected an object with timestamp and score keys",

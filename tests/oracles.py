@@ -275,7 +275,8 @@ def reference_fit(data, params=None):
     """``gbdt.fit`` as it was with per-feature split search and unit weights.
 
     Each node calls :func:`find_split` once per feature and the boosting
-    loop updates the raw scores through ``gbdt._tree_predict``.
+    loop updates the raw scores through ``gbdt._tree_predict``, so
+    ``train_prob`` comes from that walk, not from the fit's leaf values.
     """
     params = params or gbdt.GBDTParams()
     y = data.y
@@ -289,7 +290,8 @@ def reference_fit(data, params=None):
     losses = [_log_loss(y, gbdt._sigmoid(raw), weights)]
     if positive_rate in (0.0, 1.0):
         return gbdt.TreeEnsemble(
-            initial_score, [], list(data.column_names), importance, losses, degenerate=True,
+            initial_score, [], list(data.column_names), importance, losses,
+            gbdt._sigmoid(raw), degenerate=True,
         )
 
     sorted_columns = [
@@ -308,7 +310,7 @@ def reference_fit(data, params=None):
         losses.append(_log_loss(y, gbdt._sigmoid(raw), weights))
 
     return gbdt.TreeEnsemble(
-        initial_score, trees, list(data.column_names), importance, losses,
+        initial_score, trees, list(data.column_names), importance, losses, gbdt._sigmoid(raw),
     )
 
 
@@ -331,6 +333,7 @@ def ensemble_to_json(model):
             "column_names": model.column_names,
             "importance": list(model.importance),
             "train_losses": model.train_losses,
+            "train_prob": list(model.train_prob),
             "degenerate": model.degenerate,
             "trees": [_node_to_dict(tree) for tree in model.trees],
         }

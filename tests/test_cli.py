@@ -591,6 +591,30 @@ class TestExitCodes:
         assert code == EXIT_INPUT
         assert "cannot read input" in capsys.readouterr().err
 
+    def test_unopenable_input_is_an_input_error(self, workspace, tmp_path, capsys,
+                                                monkeypatch):
+        # chmod 000 does not stop a root reader, so the refusal is patched in.
+        _, stream, _, _ = workspace
+        real_open = open
+
+        def refusing_open(file, *args, **kwargs):
+            if str(file) == str(stream):
+                raise PermissionError(13, "Permission denied", str(file))
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr("builtins.open", refusing_open)
+        config = tmp_path / "c.conf"
+        config.write_text("monitor.n_r = 50\nmonitor.n_t = 20\n")
+        out = tmp_path / "out"
+        code = main(["monitor", "--input", str(stream),
+                     "--schema", str(stream) + ".schema.json",
+                     "--config", str(config), "--out", str(out)])
+        assert code == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read input: ") and "Permission denied" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_empty_file_is_an_input_error(self, workspace, tmp_path, capsys):
         _, stream, _, _ = workspace
         empty = tmp_path / "empty.csv"

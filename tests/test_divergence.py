@@ -62,6 +62,28 @@ class TestHistogram:
         assert bin_of(1.0, 100) == 99
         assert bin_of(0.9999999, 100) == 99
 
+    @pytest.mark.parametrize(
+        "bin_count, counts, total, message",
+        [
+            (0, None, 0, "bin_count must be at least 1"),
+            (-2, [], 0, "bin_count must be at least 1"),
+            (3, [1, 1], 2, "2 counts for 3 bins"),
+            (2, [0, 0, 5], 5, "3 counts for 2 bins"),
+            (2, [3, -1], 2, "negative count"),
+            (2, [1, 1], 7, "total 7 is not the counts' sum 2"),
+            (2, [1, 1], 0, "total 0 is not the counts' sum 2"),
+        ],
+        ids=["zero_bins", "negative_bins", "short_counts", "long_counts",
+             "negative_count", "total_above_sum", "total_below_sum"],
+    )
+    def test_inconsistent_histogram_rejected(self, bin_count, counts, total, message):
+        with pytest.raises(ValueError, match=message):
+            ScoreHistogram(bin_count, counts, total)
+
+    def test_consistent_histograms_accepted(self):
+        assert ScoreHistogram(3).counts == [0, 0, 0]
+        assert ScoreHistogram(3, np.array([0, 2, 1]), 3).counts == [0, 2, 1]
+
 
 def incremental_state(incremental):
     return (list(incremental.hist_r.counts), incremental.hist_r.total,

@@ -411,7 +411,7 @@ class TestRankTargetEvents:
         model = gbdt.fit(matrix)
         assert model.degenerate
         t_events = tuple(Event(i, 0.5, ()) for i in range(6))
-        ranked = rank_target_events(model, t_events, x)
+        ranked = rank_target_events(t_events, model.train_prob)
         assert [position for position, _, _ in ranked] == [5, 4, 3, 2, 1, 0]
         assert len(ranked) == len(t_events)
 
@@ -423,11 +423,12 @@ class TestRankTargetEvents:
         y = np.concatenate([np.zeros(80, dtype=np.int64), np.ones(40, dtype=np.int64)])
         model = gbdt.fit(gbdt.TrainingMatrix(x, y, ["model_score"]))
         t_events = tuple(Event(100 + i, float(s), ()) for i, s in enumerate(t_scores))
-        ranked = rank_target_events(model, t_events, x[80:])
+        ranked = rank_target_events(t_events, model.train_prob[80:])
         scores = [s for _, _, s in ranked]
         assert scores == sorted(scores, reverse=True)
-        for position, event, _ in ranked:
+        for position, event, score in ranked:
             assert event is t_events[position]
+            assert score == model.train_prob[80 + position]
 
 
 def _curve_fixture():
@@ -561,6 +562,18 @@ class TestBuildReport:
         curve = build_report(trigger, EMPTY_SCHEMA, seed=0).validation
         assert curve.ranked_jsd[0] == curve.random_jsd[0] == trigger.signal
 
+    def test_ranked_scores_are_the_full_models_predictions(self, report):
+        # The ranking reads the full fit's train_prob; a separate tree walk
+        # over the T rows gives the same scores, bit for bit.
+        trigger, schema = _report_trigger()
+        matrix, _ = encode(trigger.r_snapshot, trigger.t_snapshot, schema,
+                           report.filter_result)
+        walked = gbdt.predict_proba(gbdt.fit(matrix), matrix.x[len(trigger.r_snapshot):])
+        order = sorted(range(len(walked)), key=lambda i: (-walked[i], -i))
+        assert [(row.timestamp, row.alarm_score) for row in report.ranked_events] == [
+            (trigger.t_snapshot[i].timestamp, float(walked[i])) for i in order
+        ]
+
     def test_top_events_cap_applies(self):
         trigger, schema = _report_trigger(t_size=TOP_EVENTS + 20)
         with warnings.catch_warnings():
@@ -625,6 +638,38 @@ class TestReportHelpers:
         # then folds 1 and 3.
         assert calls == ["fork", "fit", "fit", "fit"]
         assert json.dumps(to_json_dict(dealt)) == json.dumps(to_json_dict(alone))
+
+    @pytest.mark.parametrize("cpus", [1, 2, 8])
+    def test_caller_fits_twice_and_predicts_only_with_a_fold_model(self, monkeypatch, cpus):
+        # The benchmark's traced run needs a gbdt.fit and a gbdt.predict_proba
+        # span per alarm in this process; the ranking reads the full fit's
+        # train_prob, so only this process's own CV folds predict.
+        trigger, schema = _report_trigger()
+        caller = os.getpid()
+        fitted, predicted_with = [], []
+        fit, predict_proba = gbdt.fit, gbdt.predict_proba
+
+        def recorded_fit(data, *args, **kwargs):
+            model = fit(data, *args, **kwargs)
+            if os.getpid() == caller:
+                fitted.append((data.n_rows, model))
+            return model
+
+        def recorded_predict_proba(model, x):
+            if os.getpid() == caller:
+                predicted_with.append(model)
+            return predict_proba(model, x)
+
+        monkeypatch.setattr(gbdt, "fit", recorded_fit)
+        monkeypatch.setattr(gbdt, "predict_proba", recorded_predict_proba)
+        with_cpus(monkeypatch, cpus)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            build_report(trigger, schema, seed=4, filter_result=_passthrough_filter(schema))
+        assert len(fitted) >= 2 and len(predicted_with) >= 1
+        full_rows = len(trigger.r_snapshot) + len(trigger.t_snapshot)
+        (full,) = [model for rows, model in fitted if rows == full_rows]
+        assert all(model is not full for model in predicted_with)
 
     def test_no_helper_outlives_a_raising_full_fit(self, monkeypatch):
         trigger, schema = _report_trigger()

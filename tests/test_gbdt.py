@@ -188,6 +188,16 @@ class TestExactnessOracle:
         data = oracle_case(400, 400, 8, kind)
         assert_same_ensemble(data, gbdt.GBDTParams(n_trees=8, max_depth=6))
 
+    @pytest.mark.parametrize("data, params", [
+        (matrix(np.ones((6, 2)), np.zeros(6, dtype=np.int64)), None),
+        (oracle_case(400, 400, 8, "ties"), gbdt.GBDTParams(n_trees=8, max_depth=6)),
+    ], ids=["degenerate", "400x8_depth6"])
+    def test_train_prob_is_predict_proba_on_the_training_rows(self, data, params):
+        model = gbdt.fit(data, params)
+        assert model.degenerate == (params is None)
+        predicted = gbdt.predict_proba(model, data.x)
+        assert model.train_prob.tobytes() == predicted.tobytes()
+
     def test_same_ensemble_when_a_root_child_is_one_row(self):
         x = np.arange(30, dtype=np.float64)[:, None]
         y = np.zeros(30, dtype=np.int64)
@@ -285,6 +295,22 @@ class TestKfold:
         a = gbdt.kfold_auc(data, k=4, seed=9)
         b = gbdt.kfold_auc(data, k=4, seed=9)
         assert a.fold_aucs == b.fold_aucs
+
+    @pytest.mark.parametrize("k", [0, 1, True, 2.5], ids=["zero", "one", "bool", "fraction"])
+    def test_fold_count_below_two_or_not_an_integer_rejected(self, monkeypatch, k):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("a fold was fitted")
+
+        monkeypatch.setattr(gbdt, "fit", no_fit)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="k must be an integer of at least 2") as exc:
+                gbdt.kfold_auc(step_problem(seed=2), k=k)
+        assert str(exc.value).endswith(f"got {k!r}")
+
+    def test_two_folds_accepted(self):
+        result = gbdt.kfold_auc(step_problem(seed=2), k=2, seed=0)
+        assert result.k == 2 and len(result.fold_aucs) == 2
 
 
 def bits(result):

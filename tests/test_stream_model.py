@@ -250,10 +250,13 @@ class TestJsonlObjectIsCsvRow:
         limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
         if limit == 0:
             pytest.skip("this interpreter converts integers of any length")
-        line = f'{{"timestamp": {"1" * (limit + 1)}, "score": 0.5}}'
-        with pytest.raises(StreamError, match="bad JSON") as exc:
+        digits = "1" * (limit + 1)
+        line = f'{{"timestamp": {digits}, "score": 0.5}}'
+        with pytest.raises(StreamError, match="bad timestamp") as from_jsonl:
             self.read_jsonl(line)
-        assert exc.value.line_number == 1
+        with pytest.raises(StreamError, match="bad timestamp") as from_csv:
+            parse_csv(f"timestamp,score,amount,channel\n{digits},0.5,1.0,web\n")
+        assert from_jsonl.value.line_number == 1 and from_csv.value.line_number == 2
 
     @pytest.mark.parametrize("value", [[1], {"a": 1}], ids=["array", "object"])
     @pytest.mark.parametrize("key", ["timestamp", "score", "amount", "channel", "extra.id"])
@@ -278,14 +281,16 @@ class TestJsonlObjectIsCsvRow:
         assert events[0].extras_dict() == {"id": ""}
         assert events == parse_csv("timestamp,score,amount,channel,extra.id\n1,0.5,1.0,web,\n")
 
-    @pytest.mark.parametrize("number, text", [("1.50", "1.5"), ("1e5", "100000.0"),
-                                              ("NaN", "nan")])
-    def test_number_is_the_repr_of_the_parsed_value(self, number, text):
+    @pytest.mark.parametrize("number", ["1.50", "1e5", "NaN", "-0", "1" * 4301],
+                             ids=["1.50", "1e5", "NaN", "-0", "4301_digits"])
+    def test_number_is_its_json_text(self, number):
         line = (f'{{"timestamp": 1, "score": 0.5, "amount": 1.0, "channel": {number}, '
                 f'"extra.id": {number}}}')
         events = self.read_jsonl(line)
-        assert events[0].features[1] == text
-        assert events[0].extras_dict() == {"id": text}
+        assert events[0].features[1] == number
+        assert events[0].extras_dict() == {"id": number}
+        assert events == parse_csv("timestamp,score,amount,channel,extra.id\n"
+                                   f"1,0.5,1.0,{number},{number}\n")
 
 
 class TestBlankLines:
